@@ -62,6 +62,7 @@ from .pointcal import (
     PivotSolution,
     TipCalDataset,
     TipCalSample,
+    TipSolution,
     calibrate_pivot,
     calibrate_tip_in_ee,
     tip_position_in_base,

@@ -12,28 +12,27 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CutcalError, ParseError
 from .geometry import FrameId, RigidTransform
-from .handeye import HandEyeDataset, HandEyeSample, calibrate_hand_eye
+from .handeye import HandEyeDataset, HandEyeSample, HandEyeSolution, calibrate_hand_eye
 from .logio import (
     PoseLogRow,
+    _number,
+    dump_json,
+    load_json,
     parse_plan,
     parse_pose_log,
     parse_trajectory_log,
     serialize_pose_log,
     serialize_trajectory_log,
 )
-from .metrics import build_report
-from .planner import PassPolicy
+from .metrics import TrialLabel, build_report
 from .pointcal import (
     PivotDataset,
     TipCalDataset,
     TipCalSample,
     calibrate_pivot,
     calibrate_tip_in_ee,
-    tip_poses_in_ee,
 )
 from .report import emit_report_table, parse_report, serialize_report
 from .simrig import (
@@ -58,8 +57,11 @@ def _read(path: str) -> bytes:
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as e:
+        raise CutcalError(f"cannot write {path}: {e.strerror}") from e
 
 
 def _transform_to_dict(t: RigidTransform) -> dict:
@@ -68,10 +70,7 @@ def _transform_to_dict(t: RigidTransform) -> dict:
 
 def _transform_from_dict(doc: dict, where: str) -> RigidTransform:
     try:
-        return RigidTransform(
-            np.asarray(doc["rotation"], dtype=np.float64),
-            np.asarray(doc["translation_mm"], dtype=np.float64),
-        )
+        return RigidTransform(doc["rotation"], doc["translation_mm"])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"invalid transform in {where}: {e}") from e
 
@@ -94,7 +93,10 @@ def _pose_pairs(rows: list[PoseLogRow], first, second) -> list[tuple]:
     return pairs
 
 
-def _cmd_calibrate_handeye(args) -> int:
+# Each command returns the text that main writes to --output (or stdout).
+
+
+def _cmd_calibrate_handeye(args) -> str:
     rows = parse_pose_log(_read(args.input))
     pairs = _pose_pairs(rows, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.TOOL))
     dataset = HandEyeDataset(tuple(HandEyeSample(r, t) for r, t in pairs))
@@ -103,89 +105,66 @@ def _cmd_calibrate_handeye(args) -> int:
         min_rotation=math.radians(args.min_rotation_deg),
         pairing=args.pairing,
     )
-    _write(
-        json.dumps(
-            {
-                "base_from_tracker": _transform_to_dict(solution.base_from_tracker),
-                "ee_from_tool": _transform_to_dict(solution.ee_from_tool),
-                "residual_rotation_rad": solution.residual_rotation_rad,
-                "residual_translation_mm": solution.residual_translation_mm,
-                "samples": len(dataset),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        args.output,
+    return dump_json(
+        {
+            "base_from_tracker": _transform_to_dict(solution.base_from_tracker),
+            "ee_from_tool": _transform_to_dict(solution.ee_from_tool),
+            "residual_rotation_rad": solution.residual_rotation_rad,
+            "residual_translation_mm": solution.residual_translation_mm,
+            "samples": len(dataset),
+        }
     )
-    return 0
 
 
-def _cmd_calibrate_pivot(args) -> int:
+def _cmd_calibrate_pivot(args) -> str:
     rows = parse_pose_log(_read(args.input))
     poses = [r.transform for r in rows if (r.source, r.target) == (FrameId.OT, FrameId.TOOL)]
     if not poses:
         raise ParseError("no (OT,Tool) rows in pose log")
     solution = calibrate_pivot(PivotDataset(tuple(poses)))
-    _write(
-        json.dumps(
-            {
-                "tip_in_tool_mm": solution.tip_in_tool.tolist(),
-                "divot_in_tracker_mm": solution.divot_in_tracker.tolist(),
-                "rms_residual_mm": solution.rms_residual_mm,
-                "poses": len(poses),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        args.output,
+    return dump_json(
+        {
+            "tip_in_tool_mm": solution.tip_in_tool.tolist(),
+            "divot_in_tracker_mm": solution.divot_in_tracker.tolist(),
+            "rms_residual_mm": solution.rms_residual_mm,
+            "poses": len(poses),
+        }
     )
-    return 0
 
 
-def _load_handeye_solution(path: str):
-    from .handeye import HandEyeSolution
-
-    try:
-        doc = json.loads(_read(path).decode("utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e.msg}", e.lineno) from e
+def _load_handeye_solution(path: str) -> HandEyeSolution:
+    doc = load_json(_read(path))
+    if not isinstance(doc, dict):
+        raise ParseError(f"hand-eye solution in {path} must be a JSON object")
+    residuals = [
+        _number(doc, key, path) if key in doc else 0.0
+        for key in ("residual_rotation_rad", "residual_translation_mm")
+    ]
     return HandEyeSolution(
-        base_from_tracker=_transform_from_dict(doc.get("base_from_tracker", {}), path),
-        ee_from_tool=_transform_from_dict(doc.get("ee_from_tool", {}), path),
-        residual_rotation_rad=float(doc.get("residual_rotation_rad", 0.0)),
-        residual_translation_mm=float(doc.get("residual_translation_mm", 0.0)),
+        _transform_from_dict(doc.get("base_from_tracker", {}), path),
+        _transform_from_dict(doc.get("ee_from_tool", {}), path),
+        *residuals,
     )
 
 
-def _cmd_calibrate_tip(args) -> int:
+def _cmd_calibrate_tip(args) -> str:
     rows = parse_pose_log(_read(args.input))
     pairs = _pose_pairs(rows, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.DIGITIZER))
     hand_eye = _load_handeye_solution(args.handeye)
     dataset = TipCalDataset(
         tuple(TipCalSample(r, d) for r, d in pairs), hand_eye=hand_eye
     )
-    ee_from_tip = calibrate_tip_in_ee(dataset, max_spread_mm=args.max_spread_mm)
-    positions = np.array([p.translation for p in tip_poses_in_ee(dataset)])
-    spread = float(np.linalg.norm(positions - positions.mean(axis=0), axis=1).max())
-    _write(
-        json.dumps(
-            {
-                "ee_from_tip": _transform_to_dict(ee_from_tip),
-                "tip_position_spread_mm": spread,
-                "samples": len(dataset.samples),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        args.output,
+    solution = calibrate_tip_in_ee(dataset, max_spread_mm=args.max_spread_mm)
+    return dump_json(
+        {
+            "ee_from_tip": _transform_to_dict(solution.ee_from_tip),
+            "tip_position_spread_mm": solution.spread_mm,
+            "samples": len(dataset.samples),
+        }
     )
-    return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> str:
     plan_file = parse_plan(_read(args.plan))
     recording = parse_trajectory_log(_read(args.traj))
     report = build_report(
@@ -197,23 +176,29 @@ def _cmd_analyze(args) -> int:
         lateral_mode=plan_file.analysis.lateral_mode,
     )
     if args.format == "json":
-        _write(serialize_report(report), args.output)
-    else:
-        _write(emit_report_table([report], format=args.format), args.output)
-    return 0
+        return serialize_report(report)
+    return emit_report_table([report], format=args.format)
 
 
-def _noise_from_args(args) -> NoiseModel:
-    return NoiseModel(
+def _pose_log(*streams) -> str:
+    """Pose-log text of (source, target, poses) streams: row i of every
+    stream in turn, stamped float(i)."""
+    rows = [
+        PoseLogRow.from_transform(float(i), source, target, pose)
+        for i, poses in enumerate(zip(*(poses for _, _, poses in streams)))
+        for (source, target, _), pose in zip(streams, poses)
+    ]
+    return serialize_pose_log(rows)
+
+
+def _cmd_simulate(args) -> str:
+    rig = RigGroundTruth.random(args.seed)
+    noise = NoiseModel(
         tracker_rot_sigma_rad=math.radians(args.tracker_rot_sigma_deg),
         tracker_trans_sigma_mm=args.tracker_trans_sigma,
         robot_rot_sigma_rad=math.radians(args.robot_rot_sigma_deg),
         robot_trans_sigma_mm=args.robot_trans_sigma,
     )
-
-
-def _cmd_simulate(args) -> int:
-    rig = RigGroundTruth.random(args.seed)
     if args.kind in ("ruso", "muso"):
         if args.plan is None:
             raise ParseError(f"simulate {args.kind} requires --plan")
@@ -223,7 +208,7 @@ def _cmd_simulate(args) -> int:
                 rig,
                 plan_file.plan,
                 plan_file.policy,
-                noise=_noise_from_args(args),
+                noise=noise,
                 rate_hz=args.rate,
                 seed=args.seed,
             )
@@ -236,71 +221,69 @@ def _cmd_simulate(args) -> int:
             recording = synthesize_muso_trial(
                 plan_file.plan, jitter=jitter, rate_hz=args.rate, seed=args.seed
             )
-        _write(serialize_trajectory_log(recording), args.output)
-    elif args.kind == "handeye":
-        dataset = generate_handeye_dataset(
-            rig, args.poses, noise=_noise_from_args(args), seed=args.seed
-        )
-        rows = []
-        for i, s in enumerate(dataset.samples):
-            rows.append(PoseLogRow.from_transform(float(i), FrameId.S, FrameId.EE, s.robot_pose))
-            rows.append(
-                PoseLogRow.from_transform(float(i), FrameId.OT, FrameId.TOOL, s.tracker_pose)
-            )
-        _write(serialize_pose_log(rows), args.output)
+        text = serialize_trajectory_log(recording)
     elif args.kind == "pivot":
         dataset = generate_pivot_dataset(
             rig,
             args.poses,
             cone_half_angle_rad=math.radians(args.cone_deg),
-            noise=_noise_from_args(args),
+            noise=noise,
             seed=args.seed,
         )
-        rows = [
-            PoseLogRow.from_transform(float(i), FrameId.OT, FrameId.TOOL, p)
-            for i, p in enumerate(dataset.poses)
-        ]
-        _write(serialize_pose_log(rows), args.output)
-    elif args.kind == "tipcal":
-        dataset = generate_tipcal_dataset(
-            rig, args.poses, noise=_noise_from_args(args), seed=args.seed
+        text = _pose_log((FrameId.OT, FrameId.TOOL, dataset.poses))
+    elif args.kind == "handeye":
+        samples = generate_handeye_dataset(rig, args.poses, noise=noise, seed=args.seed).samples
+        text = _pose_log(
+            (FrameId.S, FrameId.EE, [s.robot_pose for s in samples]),
+            (FrameId.OT, FrameId.TOOL, [s.tracker_pose for s in samples]),
         )
-        rows = []
-        for i, s in enumerate(dataset.samples):
-            rows.append(PoseLogRow.from_transform(float(i), FrameId.S, FrameId.EE, s.robot_pose))
-            rows.append(
-                PoseLogRow.from_transform(
-                    float(i), FrameId.OT, FrameId.DIGITIZER, s.digitizer_pose
-                )
-            )
-        _write(serialize_pose_log(rows), args.output)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(args.kind)
+    else:
+        samples = generate_tipcal_dataset(rig, args.poses, noise=noise, seed=args.seed).samples
+        text = _pose_log(
+            (FrameId.S, FrameId.EE, [s.robot_pose for s in samples]),
+            (FrameId.OT, FrameId.DIGITIZER, [s.digitizer_pose for s in samples]),
+        )
     if args.ground_truth_output:
         _write(
-            json.dumps(
+            dump_json(
                 {
                     "base_from_tracker": _transform_to_dict(rig.base_from_tracker),
                     "ee_from_tool": _transform_to_dict(rig.ee_from_tool),
                     "tip_in_tool_mm": rig.tip_in_tool.tolist(),
                     "divot_in_tracker_mm": rig.divot_in_tracker.tolist(),
                     "seed": rig.seed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
+                }
+            ),
             args.ground_truth_output,
         )
-    return 0
+    return text
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> str:
     reports = []
     for path in args.input:
         reports.extend(parse_report(_read(path)))
-    _write(emit_report_table(reports, format=args.format), args.output)
-    return 0
+    return emit_report_table(reports, format=args.format)
+
+
+def _checked(convert, ok, rule: str):
+    """argparse type: convert the flag text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid float value: 'abc'"
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a non-negative finite number")
+_COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
+_SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-handeye", help="solve base/tracker and EE/tool transforms")
     p.add_argument("--input", required=True, help="pose log CSV with (S,EE) and (OT,Tool) rows")
     p.add_argument("--output", help="solution JSON (default stdout)")
-    p.add_argument("--min-rotation-deg", type=float, default=10.0)
+    p.add_argument("--min-rotation-deg", type=_NON_NEGATIVE, default=10.0)
     p.add_argument("--pairing", choices=["consecutive", "all_pairs"], default="consecutive")
     p.set_defaults(func=_cmd_calibrate_handeye)
 
@@ -325,14 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-tip", help="solve the tip pose in the EE frame")
     p.add_argument("--input", required=True, help="pose log CSV with (S,EE) and (OT,Digitizer) rows")
     p.add_argument("--handeye", required=True, help="hand-eye solution JSON")
-    p.add_argument("--max-spread-mm", type=float, default=1.0)
+    p.add_argument("--max-spread-mm", type=_NON_NEGATIVE, default=1.0)
     p.add_argument("--output", help="solution JSON (default stdout)")
     p.set_defaults(func=_cmd_calibrate_tip)
 
     p = sub.add_parser("analyze", help="compute trial metrics from a trajectory log")
     p.add_argument("--traj", required=True, help="trajectory log CSV")
     p.add_argument("--plan", required=True, help="plan JSON")
-    p.add_argument("--label", default="X1.1", help="trial label, e.g. R1.3")
+    p.add_argument(
+        "--label", type=TrialLabel.parse, default="X1.1", help="trial label, e.g. R1.3"
+    )
     p.add_argument("--format", choices=["json", "text", "csv"], default="json")
     p.add_argument("--output", help="report file (default stdout)")
     p.set_defaults(func=_cmd_analyze)
@@ -340,17 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic logs with known ground truth")
     p.add_argument("kind", choices=["ruso", "muso", "handeye", "pivot", "tipcal"])
     p.add_argument("--plan", help="plan JSON (ruso/muso)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=10.0, help="sampling rate, Hz")
-    p.add_argument("--poses", type=int, default=20, help="dataset size (handeye/pivot/tipcal)")
-    p.add_argument("--cone-deg", type=float, default=30.0, help="pivot cone half-angle")
-    p.add_argument("--tracker-rot-sigma-deg", type=float, default=0.0)
-    p.add_argument("--tracker-trans-sigma", type=float, default=0.0, help="mm")
-    p.add_argument("--robot-rot-sigma-deg", type=float, default=0.0)
-    p.add_argument("--robot-trans-sigma", type=float, default=0.0, help="mm")
-    p.add_argument("--lateral-sigma", type=float, default=1.1, help="muso tremor, mm")
-    p.add_argument("--depth-bias", type=float, default=3.0, help="muso over-penetration, mm")
-    p.add_argument("--depth-sigma", type=float, default=0.8, help="muso depth spread, mm")
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--rate", type=_POSITIVE, default=10.0, help="sampling rate, Hz")
+    p.add_argument("--poses", type=_COUNT, default=20, help="dataset size (handeye/pivot/tipcal)")
+    p.add_argument("--cone-deg", type=_NON_NEGATIVE, default=30.0, help="pivot cone half-angle")
+    p.add_argument("--tracker-rot-sigma-deg", type=_NON_NEGATIVE, default=0.0)
+    p.add_argument("--tracker-trans-sigma", type=_NON_NEGATIVE, default=0.0, help="mm")
+    p.add_argument("--robot-rot-sigma-deg", type=_NON_NEGATIVE, default=0.0)
+    p.add_argument("--robot-trans-sigma", type=_NON_NEGATIVE, default=0.0, help="mm")
+    p.add_argument("--lateral-sigma", type=_NON_NEGATIVE, default=1.1, help="muso tremor, mm")
+    p.add_argument("--depth-bias", type=_FINITE, default=3.0, help="muso over-penetration, mm")
+    p.add_argument("--depth-sigma", type=_NON_NEGATIVE, default=0.8, help="muso depth spread, mm")
     p.add_argument("--output", help="log file (default stdout)")
     p.add_argument("--ground-truth-output", help="also write the rig ground truth JSON")
     p.set_defaults(func=_cmd_simulate)
@@ -364,14 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.kind in ("handeye", "pivot") and args.poses < 3:
+        parser.error(f"simulate {args.kind} needs --poses >= 3")
     try:
-        return args.func(args)
+        _write(args.func(args), args.output)
     except CutcalError as e:
         sys.stderr.write(
             json.dumps({"error": type(e).__name__, "message": str(e)}, sort_keys=True) + "\n"
         )
         return 1
+    return 0
 
 
 if __name__ == "__main__":

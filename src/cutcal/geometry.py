@@ -57,6 +57,15 @@ def _as_vector3(v) -> np.ndarray:
     return a
 
 
+def _freeze(obj, shape, *names, dtype=np.float64) -> None:
+    """Store each named field of a frozen dataclass as a read-only array of
+    ``shape``; an input that already is such an array is not copied."""
+    for name in names:
+        a = np.asarray(getattr(obj, name), dtype=dtype).reshape(shape)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+
+
 def _check_rotation(r: np.ndarray, atol: float = ROTATION_ATOL) -> None:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
@@ -114,19 +123,7 @@ class RigidTransform:
     @classmethod
     def from_quat_wxyz(cls, quat, translation) -> RigidTransform:
         """Build from a unit quaternion (w, x, y, z); normalized exactly."""
-        q = np.asarray(quat, dtype=np.float64).reshape(4)
-        n = np.linalg.norm(q)
-        if n == 0.0:
-            raise ValueError("zero quaternion")
-        w, x, y, z = q / n
-        r = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-        return cls(orthonormalize(r), translation)
+        return cls(orthonormalize(rotation_from_quat(quat)), translation)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -213,6 +210,31 @@ def rotvec_from_rotation(r: Rotation3) -> np.ndarray:
         return axis * angle
     scale = angle / (2.0 * math.sin(angle))
     return scale * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+
+
+def rotation_from_quat(quat) -> Rotation3:
+    """Rotation matrix of a quaternion (w, x, y, z), normalized first."""
+    q = np.asarray(quat, dtype=np.float64).reshape(4)
+    n = np.linalg.norm(q)
+    if n == 0.0:
+        raise ValueError("zero quaternion")
+    w, x, y, z = q / n
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def max_line_angle(unit_directions) -> float:
+    """Largest angle between any two lines along the given unit directions,
+    in [0, pi/2]; a direction and its negation are the same line."""
+    d = np.asarray(unit_directions, dtype=np.float64)
+    cos = np.abs(np.clip(d @ d.T, -1.0, 1.0))
+    np.fill_diagonal(cos, 1.0)
+    return float(np.arccos(cos.min()))
 
 
 def orthonormalize(m) -> Rotation3:

@@ -31,6 +31,7 @@ from .geometry import (
     best_fit_rotation,
     compose,
     invert,
+    max_line_angle,
     orthonormalize,
     rotation_angle,
     rotation_angle_between,
@@ -80,14 +81,6 @@ class HandEyeSolution:
     residual_rotation_rad: float
     residual_translation_mm: float
 
-    @property
-    def tracker_from_base(self) -> RigidTransform:
-        return invert(self.base_from_tracker)
-
-    @property
-    def tool_from_ee(self) -> RigidTransform:
-        return invert(self.ee_from_tool)
-
 
 def build_relative_motions(
     dataset: HandEyeDataset,
@@ -126,18 +119,6 @@ def build_relative_motions(
     return motions
 
 
-def _axis_lines(motions: list[MotionPair]) -> np.ndarray:
-    axes = np.array([rotvec_from_rotation(m.a.rotation) for m in motions])
-    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
-
-
-def _max_axis_separation(unit_axes: np.ndarray) -> float:
-    # treat an axis and its negation as the same line
-    cos = np.abs(np.clip(unit_axes @ unit_axes.T, -1.0, 1.0))
-    np.fill_diagonal(cos, 1.0)
-    return float(np.arccos(cos.min()))
-
-
 def solve_base_to_tracker(
     motions: list[MotionPair],
     min_axis_separation: float = DEFAULT_MIN_AXIS_SEPARATION,
@@ -166,8 +147,9 @@ def solve_base_to_tracker(
     if len(motions) == 1:
         r_y = rotation_between_vectors(rotvecs_b[0], rotvecs_a[0])
     else:
-        axes = _axis_lines(motions)
-        if _max_axis_separation(axes) < min_axis_separation:
+        axes = np.array(rotvecs_a)
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        if max_line_angle(axes) < min_axis_separation:
             raise DegenerateConfiguration(
                 "rotation axes of all relative motions are (near-)parallel"
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, InvalidPolicy, NonMonotoneTime, ParseError
-from .geometry import FrameId, RigidTransform
+from .geometry import FrameId, RigidTransform, _freeze
 from .metrics import GatePolicy, PlannedCut, TrajectoryRecording
 from .planner import PassPolicy
 
@@ -42,12 +42,8 @@ class PoseLogRow:
     translation: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.quat_wxyz, dtype=np.float64).reshape(4)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        q.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "quat_wxyz", q)
-        object.__setattr__(self, "translation", t)
+        _freeze(self, 4, "quat_wxyz")
+        _freeze(self, 3, "translation")
 
     @property
     def transform(self) -> RigidTransform:
@@ -69,7 +65,23 @@ def _decode(data: str | bytes) -> str:
     return data
 
 
+def load_json(data: str | bytes):
+    """Decode and parse a JSON document; ParseError on bad UTF-8 or JSON."""
+    try:
+        return json.loads(_decode(data))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", e.lineno) from e
+
+
+def dump_json(doc) -> str:
+    """The JSON text every output file uses: 2-space indent, sorted keys."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _parse_float(text: str, what: str, line: int) -> float:
+    # float() also reads "1_0" and non-ASCII digits, which np.loadtxt rejects
+    if "_" in text or not text.strip().isascii():
+        raise ParseError(f"bad {what}: {text!r}", line)
     try:
         value = float(text)
     except ValueError:
@@ -87,12 +99,16 @@ def _parse_frame(label: str, line: int) -> FrameId:
 
 
 def parse_pose_log(data: str | bytes) -> list[PoseLogRow]:
-    """Parse a pose log; raises ParseError/FrameError with 1-based lines."""
+    """Parse a pose log; raises ParseError/FrameError with 1-based lines.
+
+    A second row with the same (timestamp, source, target) is an error.
+    """
     text = _decode(data)
     lines = text.splitlines()
     if not lines or lines[0].strip() != POSE_LOG_HEADER:
         raise ParseError(f"expected header {POSE_LOG_HEADER!r}", 1)
     rows = []
+    seen = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -102,6 +118,9 @@ def parse_pose_log(data: str | bytes) -> list[PoseLogRow]:
         timestamp = _parse_float(fields[0], "timestamp", lineno)
         source = _parse_frame(fields[1].strip(), lineno)
         target = _parse_frame(fields[2].strip(), lineno)
+        if (timestamp, source, target) in seen:
+            raise ParseError(f"duplicate {source},{target} row at timestamp {timestamp!r}", lineno)
+        seen.add((timestamp, source, target))
         quat = np.array([_parse_float(f, "quaternion component", lineno) for f in fields[3:7]])
         trans = np.array([_parse_float(f, "translation component", lineno) for f in fields[7:10]])
         norm = float(np.linalg.norm(quat))
@@ -228,12 +247,12 @@ def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
 
 def _vec3(obj, key: str, where: str) -> np.ndarray:
     v = obj[key]
-    if not (isinstance(v, list) and len(v) == 3 and all(isinstance(x, (int, float)) for x in v)):
+    if not (isinstance(v, list) and len(v) == 3):
         raise ParseError(f"{where}.{key} must be a list of 3 numbers")
-    return np.asarray(v, dtype=np.float64)
+    return np.array([_number(v, i, f"{where}.{key}") for i in range(3)])
 
 
-def _number(obj, key: str, where: str) -> float:
+def _number(obj, key: str | int, where: str) -> float:
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
         raise ParseError(f"{where}.{key} must be a finite number")
@@ -242,11 +261,7 @@ def _number(obj, key: str, where: str) -> float:
 
 def parse_plan(data: str | bytes) -> PlanFile:
     """Parse and schema-validate a plan JSON document."""
-    text = _decode(data)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.lineno) from e
+    doc = load_json(data)
     if not isinstance(doc, dict):
         raise ParseError("plan document must be a JSON object")
     _require_keys(
@@ -355,4 +370,4 @@ def serialize_plan(pf: PlanFile) -> str:
             "lateral_mode": pf.analysis.lateral_mode,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc)

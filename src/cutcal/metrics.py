@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyAfterGating, EmptyInput, EmptyProfile
-from .geometry import RigidTransform, transform_point
+from .geometry import RigidTransform, _freeze, transform_point
 
 _LABEL_RE = re.compile(r"^([A-Za-z]+\d*)[.^](\d+)$")
 
@@ -50,10 +50,7 @@ class PlannedCut:
     cutting_speed_mm_s: float
 
     def __post_init__(self):
-        for name in ("entry_point", "direction", "depth_axis"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+        _freeze(self, 3, "entry_point", "direction", "depth_axis")
         if abs(np.linalg.norm(self.direction) - 1.0) > 1e-6:
             raise ValueError("direction must be a unit vector")
         if abs(np.linalg.norm(self.depth_axis) - 1.0) > 1e-6:
@@ -89,9 +86,10 @@ class TrajectoryRecording:
     tool_active: np.ndarray  # (M,) bool
 
     def __post_init__(self):
-        t = np.asarray(self.timestamps, dtype=np.float64).reshape(-1)
-        p = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        a = np.asarray(self.tool_active, dtype=bool).reshape(-1)
+        _freeze(self, -1, "timestamps")
+        _freeze(self, (-1, 3), "points")
+        _freeze(self, -1, "tool_active", dtype=bool)
+        t, p, a = self.timestamps, self.points, self.tool_active
         if not (len(t) == len(p) == len(a)):
             raise ValueError("timestamps, points and tool_active must have equal length")
         if len(t) < 2:
@@ -100,9 +98,6 @@ class TrajectoryRecording:
             raise ValueError("recording contains non-finite values")
         if np.any(np.diff(t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        for name, arr in (("timestamps", t), ("points", p), ("tool_active", a)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -135,11 +130,9 @@ class CutProfile:
     coverage: float  # fraction of non-missing bins
 
     def __post_init__(self):
-        d = np.asarray(self.depths_mm, dtype=np.float64).reshape(-1)
-        if len(d) != self.bin_count:
+        _freeze(self, -1, "depths_mm")
+        if len(self.depths_mm) != self.bin_count:
             raise ValueError("depths length must equal bin_count")
-        d.flags.writeable = False
-        object.__setattr__(self, "depths_mm", d)
 
 
 @dataclass(frozen=True)

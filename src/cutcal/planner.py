@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPolicy
+from .geometry import _freeze
 from .metrics import PlannedCut, TrajectoryRecording
 
 DEFAULT_INSERTION_SPEED = 2.0  # mm/s
@@ -31,10 +32,7 @@ class Segment:
     tool_active: bool
 
     def __post_init__(self):
-        for name in ("start", "end"):
-            v = np.asarray(getattr(self, name), dtype=np.float64).reshape(3)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+        _freeze(self, 3, "start", "end")
         if self.speed_mm_s <= 0:
             raise ValueError("segment speed must be positive")
 

@@ -17,15 +17,17 @@ the pose of the tip in the EE frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, InconsistentSamples
 from .geometry import (
     RigidTransform,
+    _freeze,
     compose,
     invert,
+    max_line_angle,
     rotation_angle_between,
     rotvec_from_rotation,
     transform_point,
@@ -55,10 +57,13 @@ class PivotSolution:
     rms_residual_mm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "tip_in_tool", np.asarray(self.tip_in_tool, dtype=np.float64).reshape(3))
-        object.__setattr__(
-            self, "divot_in_tracker", np.asarray(self.divot_in_tracker, dtype=np.float64).reshape(3)
-        )
+        _freeze(self, 3, "tip_in_tool", "divot_in_tracker")
+
+
+@dataclass(frozen=True)
+class TipSolution:
+    ee_from_tip: RigidTransform
+    spread_mm: float  # largest tip-position distance from the mean
 
 
 @dataclass(frozen=True)
@@ -129,12 +134,8 @@ def calibrate_pivot(
         norm = np.linalg.norm(v)
         if norm > 1e-9:
             rel_axes.append(v / norm)
-    if rel_axes:
-        axes = np.array(rel_axes)
-        cos = np.abs(np.clip(axes @ axes.T, -1.0, 1.0))
-        np.fill_diagonal(cos, 1.0)
-        if float(np.arccos(cos.min())) < min_axis_spread:
-            raise DegenerateConfiguration("all pivot rotations share one rotation axis")
+    if rel_axes and max_line_angle(rel_axes) < min_axis_spread:
+        raise DegenerateConfiguration("all pivot rotations share one rotation axis")
 
     a = np.zeros((3 * n, 6))
     rhs = np.zeros(3 * n)
@@ -148,11 +149,7 @@ def calibrate_pivot(
 
     solution = PivotSolution(tip_in_tool=x[:3], divot_in_tracker=x[3:], rms_residual_mm=0.0)
     residuals = pivot_residuals(dataset, solution)
-    return PivotSolution(
-        tip_in_tool=x[:3],
-        divot_in_tracker=x[3:],
-        rms_residual_mm=float(np.sqrt(np.mean(residuals**2))),
-    )
+    return replace(solution, rms_residual_mm=float(np.sqrt(np.mean(residuals**2))))
 
 
 def tip_poses_in_ee(dataset: TipCalDataset) -> list[RigidTransform]:
@@ -165,11 +162,12 @@ def tip_poses_in_ee(dataset: TipCalDataset) -> list[RigidTransform]:
 
 def calibrate_tip_in_ee(
     dataset: TipCalDataset, max_spread_mm: float = DEFAULT_MAX_TIP_SPREAD_MM
-) -> RigidTransform:
+) -> TipSolution:
     """Pose of the tool tip in the end-effector frame (``ee_from_tip``).
 
     Translations are averaged across samples; the orientation is taken from
-    the first sample (the digitizer constrains a point, not a frame).
+    the first sample (the digitizer constrains a point, not a frame). The
+    spread is the largest distance of a sample's tip position from the mean.
 
     Raises:
         InconsistentSamples: some sample's tip position deviates from the
@@ -183,7 +181,7 @@ def calibrate_tip_in_ee(
         raise InconsistentSamples(
             f"tip positions spread {spread:.3f} mm exceeds {max_spread_mm:.3f} mm"
         )
-    return RigidTransform(poses[0].rotation, mean)
+    return TipSolution(RigidTransform(poses[0].rotation, mean), spread)
 
 
 def tip_position_in_base(

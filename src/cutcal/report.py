@@ -8,12 +8,12 @@ cutting speed, RMSE, length, procedure time, depth.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .errors import EmptyInput, ParseError
+from .logio import dump_json, load_json
 from .metrics import CutProfile, MetricsReport, TrialLabel
 
 _METRIC_FIELDS = (
@@ -60,7 +60,7 @@ def emit_report_table(reports: list[MetricsReport], format: str = "text") -> str
     """Render the aggregate table; format is 'text', 'csv' or 'json'."""
     rows = summarize_sets(reports)
     if format == "json":
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        return dump_json(rows)
     if format == "csv":
         header = ["set", "trials", "target_depth_mm", "cutting_speed_mm_s"]
         for field, _ in _METRIC_FIELDS:
@@ -141,15 +141,11 @@ def report_from_dict(doc: dict) -> MetricsReport:
 
 
 def serialize_report(report: MetricsReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return dump_json(report_to_dict(report))
 
 
 def parse_report(data: str | bytes) -> list[MetricsReport]:
     """Parse a report JSON file holding one report or a list of them."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", e.lineno) from e
+    doc = load_json(data)
     docs = doc if isinstance(doc, list) else [doc]
     return [report_from_dict(d) for d in docs]

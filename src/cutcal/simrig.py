@@ -20,10 +20,13 @@ import numpy as np
 
 from .geometry import (
     RigidTransform,
+    _freeze,
     compose,
     invert,
+    max_line_angle,
     rotation_about_axis,
     rotation_angle,
+    rotation_from_quat,
     rotvec_from_rotation,
     transform_point,
 )
@@ -53,10 +56,7 @@ class RigGroundTruth:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tip_in_tool", np.asarray(self.tip_in_tool, dtype=np.float64).reshape(3))
-        object.__setattr__(
-            self, "divot_in_tracker", np.asarray(self.divot_in_tracker, dtype=np.float64).reshape(3)
-        )
+        _freeze(self, 3, "tip_in_tool", "divot_in_tracker")
 
     @classmethod
     def random(cls, seed: int) -> RigGroundTruth:
@@ -132,16 +132,7 @@ class JitterModel:
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation (normalized Gaussian quaternion)."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return rotation_from_quat(rng.normal(size=4))
 
 
 def perturb_transform(
@@ -156,10 +147,6 @@ def perturb_transform(
     if trans_sigma_mm > 0:
         trans = trans + rng.normal(0.0, trans_sigma_mm, 3)
     return RigidTransform(r, trans)
-
-
-def _line_angle(u: np.ndarray, v: np.ndarray) -> float:
-    return math.acos(min(1.0, abs(float(u @ v))))
 
 
 def _diverse_rotations(
@@ -177,7 +164,7 @@ def _diverse_rotations(
                 continue
             axis = rotvec_from_rotation(rel)
             axis /= np.linalg.norm(axis)
-            if prev_axis is not None and _line_angle(axis, prev_axis) < min_axis_sep:
+            if prev_axis is not None and max_line_angle([axis, prev_axis]) < min_axis_sep:
                 continue
             rotations.append(cand)
             prev_axis = axis

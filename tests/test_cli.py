@@ -159,3 +159,92 @@ class TestUsageErrors:
         assert main(["calibrate-pivot", "--input", "/nonexistent.csv"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError"
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """Valid logs and a hand-eye solution, plus broken copies of them."""
+    d = tmp_path_factory.mktemp("bad_inputs")
+    assert main(["simulate", "handeye", "--seed", "3", "--poses", "6",
+                 "--output", str(d / "he.csv")]) == 0
+    assert main(["calibrate-handeye", "--input", str(d / "he.csv"),
+                 "--output", str(d / "he.json")]) == 0
+    assert main(["simulate", "tipcal", "--seed", "3", "--poses", "3",
+                 "--output", str(d / "tip.csv")]) == 0
+    assert main(["simulate", "pivot", "--seed", "3", "--poses", "6",
+                 "--output", str(d / "pivot.csv")]) == 0
+    solution = json.loads((d / "he.json").read_text())
+    (d / "he_list.json").write_text("[]")
+    (d / "he_binary.json").write_bytes(b"\xff\xfe{}")
+    (d / "he_abc.json").write_text(json.dumps({**solution, "residual_rotation_rad": "abc"}))
+    (d / "he_nan.json").write_text(json.dumps({**solution, "residual_translation_mm": math.nan}))
+    lines = (d / "pivot.csv").read_text().splitlines()
+    (d / "pivot_dup.csv").write_text("\n".join(lines + [lines[2]]) + "\n")  # dup at line 8
+    plan = {
+        "entry_point": [math.nan, 0.0, 0.0],
+        "direction": [1.0, 0.0, 0.0],
+        "depth_axis": [0.0, 0.0, -1.0],
+        "length_mm": 10.0,
+        "target_depth_mm": 2.0,
+        "cutting_speed_mm_s": 1.0,
+        "pass_policy": {"depth_increment_mm": 1.0},
+    }
+    (d / "plan_nan.json").write_text(json.dumps(plan))
+    return d
+
+
+# argv ({d} is the bad_inputs directory), exit code, error class (None for
+# usage errors, which argparse reports as text), message fragment
+CLI_ERROR_CASES = [
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_list.json", 1,
+                 "ParseError", "must be a JSON object", id="handeye-json-list"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_binary.json", 1,
+                 "ParseError", "not valid UTF-8", id="handeye-not-utf8"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_abc.json", 1,
+                 "ParseError", "residual_rotation_rad must be a finite number",
+                 id="handeye-residual-string"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_nan.json", 1,
+                 "ParseError", "residual_translation_mm must be a finite number",
+                 id="handeye-residual-nan"),
+    pytest.param("report --input {d}/he_binary.json", 1,
+                 "ParseError", "not valid UTF-8", id="report-not-utf8"),
+    pytest.param("calibrate-pivot --input {d}/pivot.csv --output {d}/missing/out.json", 1,
+                 "CutcalError", "cannot write", id="unwritable-output"),
+    pytest.param("calibrate-pivot --input {d}/pivot_dup.csv", 1,
+                 "ParseError", "line 8: duplicate OT,Tool row", id="duplicate-pose-row"),
+    pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_nan.json", 1,
+                 "ParseError", "plan.entry_point.0 must be a finite number", id="plan-nan"),
+    pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
+    pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
+    pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",
+                 id="tipcal-poses"),
+    pytest.param("simulate ruso --rate 0", 2, None, "--rate: must be a positive", id="rate-0"),
+    pytest.param("simulate ruso --rate nan", 2, None, "--rate: must be a positive", id="rate-nan"),
+    pytest.param("simulate ruso --rate inf", 2, None, "--rate: must be a positive", id="rate-inf"),
+    pytest.param("simulate pivot --cone-deg -1", 2, None, "--cone-deg: must be a non-negative",
+                 id="cone-negative"),
+    pytest.param("simulate handeye --tracker-trans-sigma -0.1", 2, None,
+                 "--tracker-trans-sigma: must be a non-negative", id="sigma-negative"),
+    pytest.param("simulate muso --depth-sigma -1", 2, None, "--depth-sigma: must be a non-negative",
+                 id="jitter-sigma-negative"),
+    pytest.param("simulate ruso --seed -1", 2, None, "--seed: must be a non-negative integer",
+                 id="seed-negative"),
+    pytest.param("analyze --traj t.csv --plan p.json --label bad", 2, None,
+                 "--label: invalid parse value", id="bad-label"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error, fragment", CLI_ERROR_CASES)
+def test_bad_input_or_flag_exits_without_traceback(bad_inputs, capsys, argv, code, error, fragment):
+    args = [token.format(d=bad_inputs) for token in argv.split()]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cutcal") and fragment in err
+    else:
+        assert main(args) == 1
+        diagnostic = json.loads(capsys.readouterr().err)
+        assert diagnostic["error"] == error
+        assert fragment in diagnostic["message"]

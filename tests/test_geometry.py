@@ -11,12 +11,17 @@ from cutcal.geometry import (
     best_fit_rotation,
     compose,
     invert,
+    max_line_angle,
     orthonormalize,
     rotation_about_axis,
     rotation_angle_between,
     transform_point,
 )
-from cutcal.simrig import random_rotation
+from cutcal.logio import PoseLogRow
+from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
+from cutcal.planner import Segment
+from cutcal.pointcal import PivotSolution
+from cutcal.simrig import RigGroundTruth, random_rotation
 
 
 def rz(deg: float, t=(0.0, 0.0, 0.0)) -> RigidTransform:
@@ -212,3 +217,46 @@ class TestRotationHelpers:
 class TestFrameId:
     def test_labels_closed_set(self):
         assert {f.value for f in FrameId} == {"S", "EE", "Tool", "Tip", "OT", "Digitizer", "Phantom"}
+
+
+def test_max_line_angle_treats_opposite_directions_as_one_line():
+    x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    assert max_line_angle([x, -x]) == 0.0
+    assert max_line_angle([x, -x, y]) == pytest.approx(math.pi / 2)
+    diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    assert max_line_angle([x, -diagonal]) == pytest.approx(math.pi / 4)
+
+
+def _value_types():
+    plan = PlannedCut([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0], 10.0, 2.0, 1.0)
+    return [
+        (PoseLogRow(0.0, FrameId.S, FrameId.EE, [1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
+         ("quat_wxyz", "translation")),
+        (plan, ("entry_point", "direction", "depth_axis")),
+        (Segment([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0, True), ("start", "end")),
+        (TrajectoryRecording([0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [True, False]),
+         ("timestamps", "points", "tool_active")),
+        (CutProfile(2, 5.0, [1.0, math.nan], 0.5), ("depths_mm",)),
+        (PivotSolution(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), 0.0),
+         ("tip_in_tool", "divot_in_tracker")),
+        (RigGroundTruth.random(0), ("tip_in_tool", "divot_in_tracker")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(v, n) for v, names in _value_types() for n in names],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_array_fields_of_value_types_are_read_only(value, name):
+    arr = getattr(value, name)
+    assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr.flat[0] = arr.flat[0]
+
+
+def test_freezing_leaves_the_callers_array_writable():
+    tip = np.array([0.0, 0.0, 1.0])
+    solution = PivotSolution(tip, np.zeros(3), 0.0)
+    tip[0] = 5.0
+    assert tip.flags.writeable and solution.tip_in_tool[0] == 5.0  # a view, not a copy

@@ -97,10 +97,22 @@ class TestPoseLog:
         assert exc.value.line == 2
 
     def test_bad_float_reports_line(self):
-        text = POSE_LOG_HEADER + "\n0,S,EE,1,0,0,0,0,0,0\n1,S,EE,1,0,oops,0,0,0,0\n"
+        # "1_0" and non-ASCII digits are numbers to float() but not to np.loadtxt
+        bad_rows = ["1,S,EE,1,0,oops,0,0,0,0"]
+        bad_rows += [f"1,S,EE,1,0,0,0,{token},0,0" for token in ("1_0", "\u0661", "\uff11")]
+        for row in bad_rows:
+            text = POSE_LOG_HEADER + f"\n0,S,EE,1,0,0,0,0,0,0\n{row}\n"
+            with pytest.raises(ParseError) as exc:
+                parse_pose_log(text)
+            assert exc.value.line == 3
+
+    def test_duplicate_row_reports_line(self):
+        rows = ["0,S,EE,1,0,0,0,0,0,0", "0,OT,Tool,1,0,0,0,0,0,0", "0.0,S,EE,1,0,0,0,1,2,3"]
+        text = "\n".join([POSE_LOG_HEADER, *rows]) + "\n"
         with pytest.raises(ParseError) as exc:
             parse_pose_log(text)
-        assert exc.value.line == 3
+        assert exc.value.line == 4
+        assert "duplicate S,EE row at timestamp 0.0" in str(exc.value)
 
     def test_wrong_field_count(self):
         text = POSE_LOG_HEADER + "\n0,S,EE,1,0,0,0\n"
@@ -143,10 +155,11 @@ class TestTrajectoryLog:
         assert exc.value.line == 4
 
     def test_malformed_row_reports_line(self):
-        text = TRAJECTORY_LOG_HEADER + "\n0.0,0,0,0,1\nnope,0,0,0,1\n"
-        with pytest.raises(ParseError) as exc:
-            parse_trajectory_log(text)
-        assert exc.value.line == 3
+        for token in ("nope", "1_0", "\u0661", "\uff11"):
+            text = TRAJECTORY_LOG_HEADER + f"\n0.0,0,0,0,1\n{token},0,0,0,1\n"
+            with pytest.raises(ParseError) as exc:
+                parse_trajectory_log(text)
+            assert exc.value.line == 3
 
     def test_wrong_column_count_reports_line(self):
         text = TRAJECTORY_LOG_HEADER + "\n0.0,0,0,0,1\n0.1,0,0,1\n"
@@ -253,6 +266,17 @@ class TestPlanFile:
         doc["direction"] = [2.0, 0.0, 0.0]
         with pytest.raises(ParseError):
             parse_plan(json.dumps(doc))
+
+    def test_non_finite_or_bool_vector_rejected(self, rng):
+        import json
+
+        for key in ("entry_point", "direction", "depth_axis"):
+            for bad in (math.nan, math.inf, True):
+                doc = json.loads(serialize_plan(random_plan_file(rng)))
+                doc[key][1] = bad
+                with pytest.raises(ParseError) as exc:
+                    parse_plan(json.dumps(doc))
+                assert f"plan.{key}.1 must be a finite number" in str(exc.value)
 
     def test_bad_pass_policy_rejected(self, rng):
         import json

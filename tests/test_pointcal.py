@@ -122,12 +122,12 @@ class TestCalibrateTipInEe:
         dataset = TipCalDataset(
             (TipCalSample(robot_pose=identity, digitizer_pose=digitizer),), hand_eye
         )
-        assert_transforms_close(calibrate_tip_in_ee(dataset), digitizer, atol=1e-12)
+        assert_transforms_close(calibrate_tip_in_ee(dataset).ee_from_tip, digitizer, atol=1e-12)
 
     def test_noiseless_recovery(self):
         gt = RigGroundTruth.random(10)
         dataset = generate_tipcal_dataset(gt, 5, seed=11)
-        ee_from_tip = calibrate_tip_in_ee(dataset)
+        ee_from_tip = calibrate_tip_in_ee(dataset).ee_from_tip
         true_tip_in_ee = transform_point(gt.ee_from_tool, gt.tip_in_tool)
         assert np.linalg.norm(ee_from_tip.translation - true_tip_in_ee) < 1e-6
 

@@ -94,7 +94,7 @@ class TestOracleClosure:
 
     def test_zero_noise_tipcal_solved_exactly(self):
         gt = RigGroundTruth.random(13)
-        ee_from_tip = calibrate_tip_in_ee(generate_tipcal_dataset(gt, 4, seed=14))
+        ee_from_tip = calibrate_tip_in_ee(generate_tipcal_dataset(gt, 4, seed=14)).ee_from_tip
         from cutcal.geometry import transform_point
 
         expected = transform_point(gt.ee_from_tool, gt.tip_in_tool)
