@@ -71,7 +71,7 @@ def _transform_to_dict(t: RigidTransform) -> dict:
 def _transform_from_dict(doc: dict, where: str) -> RigidTransform:
     try:
         return RigidTransform(doc["rotation"], doc["translation_mm"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid transform in {where}: {e}") from e
 
 

@@ -50,6 +50,9 @@ ROTATION_ATOL = 1e-9
 Rotation3 = np.ndarray  # (3, 3) proper orthonormal matrix
 Vector3 = np.ndarray  # (3,) float
 
+# u @ _CROSS is the cross-product matrix of u, flattened: K(u) @ v == np.cross(u, v)
+_CROSS = np.array([np.cross(e, np.eye(3)).T for e in np.eye(3)]).reshape(3, 9)
+
 
 def _as_vector3(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64).reshape(3)
@@ -162,54 +165,58 @@ def transform_point(t: RigidTransform, p) -> np.ndarray:
     raise ValueError(f"expected (3,) or (N, 3) points, got {p.shape}")
 
 
-def rotation_about_axis(axis, angle_rad: float) -> Rotation3:
-    """Rodrigues rotation about a (not necessarily unit) axis."""
-    axis = np.asarray(axis, dtype=np.float64).reshape(3)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
+def rotation_about_axis(axis, angle_rad) -> Rotation3:
+    """Rodrigues rotation about a (not necessarily unit) axis, or (N, 3, 3)
+    rotations about (N, 3) axes by (N,) angles."""
+    axis = np.asarray(axis, dtype=np.float64)
+    n = _norms(axis)[..., None]
+    if not n.all():
         raise ValueError("rotation axis must be non-zero")
-    k = _skew(axis / n)
-    return np.eye(3) + math.sin(angle_rad) * k + (1.0 - math.cos(angle_rad)) * (k @ k)
+    k = ((axis / n) @ _CROSS).reshape(axis.shape + (3,))
+    angle = np.asarray(angle_rad, dtype=np.float64)[..., None, None]
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def rotation_angle(r: Rotation3) -> float:
-    """Rotation angle of a single rotation matrix, in [0, pi].
+def rotation_angle(r: Rotation3):
+    """Rotation angle in [0, pi] of a rotation matrix or of each in a (..., 3, 3) stack.
 
     atan2 of the antisymmetric-part norm against (trace-1)/2; unlike the
     plain acos form this stays accurate for near-identity rotations.
     """
-    r = np.asarray(r)
-    s = 0.5 * math.sqrt(
-        (r[2, 1] - r[1, 2]) ** 2 + (r[0, 2] - r[2, 0]) ** 2 + (r[1, 0] - r[0, 1]) ** 2
+    # t[j, i] is r[..., i, j] with the stack axes reversed, undone by the last
+    # .T; so one matrix costs a few scalar operations instead of array ones
+    t = np.asarray(r).T
+    s = 0.5 * np.sqrt(
+        (t[1, 2] - t[2, 1]) ** 2 + (t[2, 0] - t[0, 2]) ** 2 + (t[0, 1] - t[1, 0]) ** 2
     )
-    c = (np.trace(r) - 1.0) / 2.0
-    return math.atan2(s, c)
+    c = (t[0, 0] + t[1, 1] + t[2, 2] - 1.0) / 2.0
+    return np.arctan2(s, c).T
 
 
-def rotation_angle_between(a: Rotation3, b: Rotation3) -> float:
-    """Geodesic angle between two rotations, in [0, pi]. Symmetric."""
-    return rotation_angle(np.asarray(a).T @ np.asarray(b))
+def rotation_angle_between(a: Rotation3, b: Rotation3):
+    """Geodesic angle in [0, pi] between two rotations or broadcast stacks; symmetric."""
+    return rotation_angle(np.swapaxes(a, -1, -2) @ np.asarray(b))
 
 
 def rotvec_from_rotation(r: Rotation3) -> np.ndarray:
     """Axis-angle vector (log map) of a rotation; magnitude is the angle."""
     r = np.asarray(r, dtype=np.float64)
     angle = rotation_angle(r)
+    antisym = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     if angle < 1e-10:
         # first order: log(R) ~ (R - R^T) / 2
-        return np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
+        return antisym / 2.0
     if math.pi - angle < 1e-6:
         # near pi the antisymmetric part vanishes; take the axis from R + I
         m = r + np.eye(3)
         col = m[:, np.argmax(np.diag(m))]
         axis = col / np.linalg.norm(col)
         # fix the sign from the largest antisymmetric component
-        s = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        if s @ axis < 0:
+        if antisym @ axis < 0:
             axis = -axis
         return axis * angle
     scale = angle / (2.0 * math.sin(angle))
-    return scale * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return scale * antisym
 
 
 def rotation_from_quat(quat) -> Rotation3:
@@ -290,14 +297,15 @@ def rotation_between_vectors(u, v) -> Rotation3:
     return rotation_about_axis(axis, math.atan2(n, c))
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norm of a 3-vector or of each row of a stack, bit-equal to np.linalg.norm."""
+    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+
+
+def _stack(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N, 3, 3) and translations (N, 3) of a sequence of transforms."""
+    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+    return rotations, np.array([p.translation for p in poses]).reshape(-1, 3)
 
 
 def quat_from_rotation(r: Rotation3) -> np.ndarray:

@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DegenerateConfiguration, InsufficientMotion
 from .geometry import (
     RigidTransform,
+    _stack,
     best_fit_rotation,
-    compose,
     invert,
     max_line_angle,
     orthonormalize,
@@ -61,15 +61,16 @@ class HandEyeDataset:
 
 
 @dataclass(frozen=True)
-class MotionPair:
-    """Relative motion between two stations: A in the robot base, B in the tracker."""
+class RelativeMotions:
+    """Relative motions between stations, one per row: A in the robot base, B in the tracker."""
 
-    a: RigidTransform
-    b: RigidTransform
+    a_rotations: np.ndarray  # (M, 3, 3)
+    a_translations: np.ndarray  # (M, 3)
+    b_rotations: np.ndarray  # (M, 3, 3)
+    b_translations: np.ndarray  # (M, 3)
 
-    @property
-    def rotation_angle(self) -> float:
-        return rotation_angle(self.a.rotation)
+    def __len__(self) -> int:
+        return len(self.a_rotations)
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,18 @@ class HandEyeSolution:
     residual_translation_mm: float
 
 
+def _motions(poses: list[RigidTransform], i: np.ndarray, j: np.ndarray):
+    """compose(poses[j], invert(poses[i])) for each index pair, stacked."""
+    rotations, translations = _stack(poses)
+    rel = rotations[j] @ np.swapaxes(rotations[i], 1, 2)
+    return rel, translations[j] - np.einsum("nij,nj->ni", rel, translations[i])
+
+
 def build_relative_motions(
     dataset: HandEyeDataset,
     min_rotation: float = DEFAULT_MIN_ROTATION,
     pairing: str = "consecutive",
-) -> list[MotionPair]:
+) -> RelativeMotions:
     """Relative motions between stations, filtered by rotation magnitude.
 
     ``pairing`` is "consecutive" (i, i+1; O(N)) or "all_pairs". Pairs whose
@@ -96,31 +104,26 @@ def build_relative_motions(
     Raises:
         InsufficientMotion: no pair rotates by at least ``min_rotation``.
     """
+    n = len(dataset)
     if pairing == "consecutive":
-        index_pairs = [(i, i + 1) for i in range(len(dataset) - 1)]
+        i, j = np.arange(n - 1), np.arange(1, n)
     elif pairing == "all_pairs":
-        n = len(dataset)
-        index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        i, j = np.triu_indices(n, k=1)
     else:
         raise ValueError(f"unknown pairing scheme {pairing!r}")
 
-    motions = []
-    for i, j in index_pairs:
-        si, sj = dataset.samples[i], dataset.samples[j]
-        a = compose(sj.robot_pose, invert(si.robot_pose))
-        b = compose(sj.tracker_pose, invert(si.tracker_pose))
-        pair = MotionPair(a, b)
-        if pair.rotation_angle >= min_rotation:
-            motions.append(pair)
-    if not motions:
+    a_r, a_t = _motions([s.robot_pose for s in dataset.samples], i, j)
+    keep = rotation_angle(a_r) >= min_rotation
+    if not keep.any():
         raise InsufficientMotion(
             f"no relative motion rotates by at least {math.degrees(min_rotation):.1f} deg"
         )
-    return motions
+    b_r, b_t = _motions([s.tracker_pose for s in dataset.samples], i[keep], j[keep])
+    return RelativeMotions(a_r[keep], a_t[keep], b_r, b_t)
 
 
 def solve_base_to_tracker(
-    motions: list[MotionPair],
+    motions: RelativeMotions,
     min_axis_separation: float = DEFAULT_MIN_AXIS_SEPARATION,
 ) -> RigidTransform:
     """Least-squares Y from relative motions, rotation first then translation.
@@ -138,25 +141,24 @@ def solve_base_to_tracker(
             all parallel within ``min_axis_separation`` (translation along
             the common axis is unobservable).
     """
-    if not motions:
+    if not len(motions):
         raise InsufficientMotion("no relative motions supplied")
 
-    rotvecs_a = [rotvec_from_rotation(m.a.rotation) for m in motions]
-    rotvecs_b = [rotvec_from_rotation(m.b.rotation) for m in motions]
+    rotvecs_a = np.array([rotvec_from_rotation(r) for r in motions.a_rotations])
+    rotvecs_b = np.array([rotvec_from_rotation(r) for r in motions.b_rotations])
 
     if len(motions) == 1:
         r_y = rotation_between_vectors(rotvecs_b[0], rotvecs_a[0])
     else:
-        axes = np.array(rotvecs_a)
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes = rotvecs_a / np.linalg.norm(rotvecs_a, axis=1, keepdims=True)
         if max_line_angle(axes) < min_axis_separation:
             raise DegenerateConfiguration(
                 "rotation axes of all relative motions are (near-)parallel"
             )
-        r_y = best_fit_rotation(list(zip(rotvecs_b, rotvecs_a)))
+        r_y = best_fit_rotation(zip(rotvecs_b, rotvecs_a))
 
-    rows = np.vstack([m.a.rotation - np.eye(3) for m in motions])
-    rhs = np.concatenate([r_y @ m.b.translation - m.a.translation for m in motions])
+    rows = (motions.a_rotations - np.eye(3)).reshape(-1, 3)
+    rhs = (motions.b_translations @ r_y.T - motions.a_translations).reshape(-1)
     t_y, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     return RigidTransform(r_y, t_y)
 
@@ -174,17 +176,17 @@ def solve_ee_to_tool(dataset: HandEyeDataset, base_from_tracker: RigidTransform)
     """
     if len(dataset) == 0:
         raise DegenerateConfiguration("empty dataset")
-    m = np.zeros((3, 3))
-    t_terms = []
-    for s in dataset.samples:
-        b = compose(base_from_tracker, s.tracker_pose)  # pose of the tool in the base frame
-        m += s.robot_pose.rotation.T @ b.rotation
-        t_terms.append(s.robot_pose.rotation.T @ (b.translation - s.robot_pose.translation))
+    robot_r, robot_t = _stack([s.robot_pose for s in dataset.samples])
+    tracker_r, tracker_t = _stack([s.tracker_pose for s in dataset.samples])
+    # pose of the tool in the base frame, per station
+    tool_r = base_from_tracker.rotation @ tracker_r
+    tool_t = tracker_t @ base_from_tracker.rotation.T + base_from_tracker.translation
+    m = np.einsum("nji,njk->ik", robot_r, tool_r)  # sum of robot_r^T @ tool_r
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[2] <= 1e-9 * max(sv[0], 1e-300):
         raise DegenerateConfiguration("rotation averaging stack is rank-deficient")
     r_x = orthonormalize(m)
-    t_x = np.mean(t_terms, axis=0)
+    t_x = np.einsum("nji,nj->ni", robot_r, tool_t - robot_t).mean(axis=0)
     return RigidTransform(r_x, t_x)
 
 
@@ -192,13 +194,14 @@ def closure_residuals(
     dataset: HandEyeDataset, base_from_tracker: RigidTransform, ee_from_tool: RigidTransform
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample loop-closure errors (rotation rad, translation mm)."""
-    tracker_from_base = invert(base_from_tracker)
-    rot = np.empty(len(dataset))
-    trans = np.empty(len(dataset))
-    for k, s in enumerate(dataset.samples):
-        predicted = compose(compose(tracker_from_base, s.robot_pose), ee_from_tool)
-        rot[k] = rotation_angle_between(predicted.rotation, s.tracker_pose.rotation)
-        trans[k] = float(np.linalg.norm(predicted.translation - s.tracker_pose.translation))
+    robot_r, robot_t = _stack([s.robot_pose for s in dataset.samples])
+    tracker_r, tracker_t = _stack([s.tracker_pose for s in dataset.samples])
+    # predicted tracker_from_tool = invert(Y) . base_from_ee . X
+    w, x = invert(base_from_tracker), ee_from_tool
+    predicted_r = w.rotation @ robot_r @ x.rotation
+    predicted_t = (robot_r @ x.translation + robot_t) @ w.rotation.T + w.translation
+    rot = rotation_angle_between(predicted_r, tracker_r)
+    trans = np.linalg.norm(predicted_t - tracker_t, axis=1)
     return rot, trans
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ TRAJECTORY_LOG_HEADER = "timestamp,x,y,z,active"
 # quaternions further from unit norm than this are corrupt, closer ones are
 # silently renormalized (tracker exports truncate digits)
 QUAT_NORM_WINDOW = (0.999, 1.001)
+
+# largest plan analysis.K: the depth profile holds K floats, so memory bounds it
+MAX_BIN_COUNT = 1_000_000
 
 _FRAME_BY_LABEL = {f.value: f for f in FrameId}
 
@@ -71,6 +75,8 @@ def load_json(data: str | bytes):
         return json.loads(_decode(data))
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno) from e
+    except (RecursionError, ValueError) as e:  # nested too deeply; integer with too many digits
+        raise ParseError(f"invalid JSON: {e}") from e
 
 
 def dump_json(doc) -> str:
@@ -254,7 +260,8 @@ def _vec3(obj, key: str, where: str) -> np.ndarray:
 
 def _number(obj, key: str | int, where: str) -> float:
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    # abs() keeps integers beyond float range out without converting them
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
         raise ParseError(f"{where}.{key} must be a finite number")
     return float(v)
 
@@ -332,8 +339,8 @@ def parse_plan(data: str | bytes) -> PlanFile:
         if gating not in ("active_only", "all"):
             raise ParseError("analysis.gating must be 'active_only' or 'all'")
         k = an.get("K", 100)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ParseError("analysis.K must be a positive integer")
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_BIN_COUNT:
+            raise ParseError(f"analysis.K must be an integer from 1 to {MAX_BIN_COUNT}")
         margin = _number(an, "s_margin_mm", "analysis") if "s_margin_mm" in an else 2.0
         mode = an.get("lateral_mode", "lateral")
         try:

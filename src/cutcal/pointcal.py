@@ -25,6 +25,8 @@ from .errors import DegenerateConfiguration, InconsistentSamples
 from .geometry import (
     RigidTransform,
     _freeze,
+    _norms,
+    _stack,
     compose,
     invert,
     max_line_angle,
@@ -90,12 +92,8 @@ class TipCalDataset:
 
 def pivot_residuals(dataset: PivotDataset, solution: PivotSolution) -> np.ndarray:
     """Per-pose distances between the predicted tip and the divot, mm."""
-    return np.array(
-        [
-            np.linalg.norm(transform_point(p, solution.tip_in_tool) - solution.divot_in_tracker)
-            for p in dataset.poses
-        ]
-    )
+    rotations, translations = _stack(dataset.poses)
+    return _norms(rotations @ solution.tip_in_tool + translations - solution.divot_in_tracker)
 
 
 def calibrate_pivot(
@@ -115,11 +113,10 @@ def calibrate_pivot(
     if n < 3:
         raise DegenerateConfiguration(f"pivot calibration needs >= 3 poses, got {n}")
 
-    rotations = [p.rotation for p in dataset.poses]
+    rotations, translations = _stack(dataset.poses)
+    # one row of pairs at a time: the full n(n-1)/2 stack would cost memory
     spread = max(
-        rotation_angle_between(rotations[i], rotations[j])
-        for i in range(n)
-        for j in range(i + 1, n)
+        rotation_angle_between(rotations[i], rotations[i + 1 :]).max() for i in range(n - 1)
     )
     if spread < min_rotation_spread:
         raise DegenerateConfiguration(
@@ -128,22 +125,14 @@ def calibrate_pivot(
         )
 
     # all rotations about one common axis leave the along-axis tip component free
-    rel_axes = []
-    for i in range(1, n):
-        v = rotvec_from_rotation(rotations[i] @ rotations[0].T)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            rel_axes.append(v / norm)
-    if rel_axes and max_line_angle(rel_axes) < min_axis_spread:
+    rotvecs = np.array([rotvec_from_rotation(r) for r in rotations[1:] @ rotations[0].T])
+    norms = np.linalg.norm(rotvecs, axis=1)
+    moved = norms > 1e-9
+    if moved.any() and max_line_angle(rotvecs[moved] / norms[moved, None]) < min_axis_spread:
         raise DegenerateConfiguration("all pivot rotations share one rotation axis")
 
-    a = np.zeros((3 * n, 6))
-    rhs = np.zeros(3 * n)
-    for i, pose in enumerate(dataset.poses):
-        a[3 * i : 3 * i + 3, :3] = pose.rotation
-        a[3 * i : 3 * i + 3, 3:] = -np.eye(3)
-        rhs[3 * i : 3 * i + 3] = -pose.translation
-    x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=None)
+    a = np.concatenate([rotations, np.broadcast_to(-np.eye(3), (n, 3, 3))], axis=2)
+    x, _, rank, sv = np.linalg.lstsq(a.reshape(3 * n, 6), -translations.reshape(-1), rcond=None)
     if rank < 6 or sv[-1] <= 1e-8 * sv[0]:
         raise DegenerateConfiguration("pivot system is rank-deficient")
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EmptyInput, ParseError
-from .logio import dump_json, load_json
+from .logio import _number, dump_json, load_json
 from .metrics import CutProfile, MetricsReport, TrialLabel
 
 _METRIC_FIELDS = (
@@ -117,23 +117,27 @@ def report_to_dict(report: MetricsReport) -> dict:
 def report_from_dict(doc: dict) -> MetricsReport:
     try:
         profile = doc["profile"]
+        raw = profile["depths_mm"]
         depths = np.array(
-            [math.nan if d is None else float(d) for d in profile["depths_mm"]], dtype=np.float64
+            [math.nan if d is None else _number(raw, i, "profile.depths_mm") for i, d in enumerate(raw)]
         )
+        bin_count = profile["bin_count"]
+        if not isinstance(bin_count, int) or isinstance(bin_count, bool) or bin_count < 1:
+            raise ParseError("profile.bin_count must be a positive integer")
         return MetricsReport(
             trial_label=TrialLabel.parse(doc["trial_label"]),
-            target_depth_mm=float(doc["target_depth_mm"]),
-            cutting_speed_mm_s=float(doc["cutting_speed_mm_s"]),
-            rmse_mm=float(doc["rmse_mm"]),
-            executed_length_mm=float(doc["executed_length_mm"]),
-            procedure_time_s=float(doc["procedure_time_s"]),
-            mean_depth_mm=float(doc["mean_depth_mm"]),
-            mean_depth_strict_mm=float(doc["mean_depth_strict_mm"]),
+            target_depth_mm=_number(doc, "target_depth_mm", "report"),
+            cutting_speed_mm_s=_number(doc, "cutting_speed_mm_s", "report"),
+            rmse_mm=_number(doc, "rmse_mm", "report"),
+            executed_length_mm=_number(doc, "executed_length_mm", "report"),
+            procedure_time_s=_number(doc, "procedure_time_s", "report"),
+            mean_depth_mm=_number(doc, "mean_depth_mm", "report"),
+            mean_depth_strict_mm=_number(doc, "mean_depth_strict_mm", "report"),
             profile=CutProfile(
-                bin_count=int(profile["bin_count"]),
-                bin_width_mm=float(profile["bin_width_mm"]),
+                bin_count=bin_count,
+                bin_width_mm=_number(profile, "bin_width_mm", "profile"),
                 depths_mm=depths,
-                coverage=float(profile["coverage"]),
+                coverage=_number(profile, "coverage", "profile"),
             ),
         )
     except (KeyError, TypeError, ValueError) as e:

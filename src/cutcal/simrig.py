@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import (
     RigidTransform,
     _freeze,
+    _norms,
     compose,
     invert,
     max_line_angle,
@@ -135,18 +136,24 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return rotation_from_quat(rng.normal(size=4))
 
 
+def _perturb(rotations, translations, rot_sigma_rad: float, trans_sigma_mm: float, rng):
+    """perturb_transform on stacked poses; each pose draws what one call would."""
+    sigmas = [sigma for sigma in (rot_sigma_rad, trans_sigma_mm) if sigma > 0]
+    draws = rng.standard_normal((len(rotations), len(sigmas), 3)) * np.reshape(sigmas, (-1, 1))
+    if rot_sigma_rad > 0:
+        wobble = draws[:, 0]
+        rotations = rotations @ rotation_about_axis(wobble, _norms(wobble))
+    if trans_sigma_mm > 0:
+        translations = translations + draws[:, -1]
+    return rotations, translations
+
+
 def perturb_transform(
     t: RigidTransform, rot_sigma_rad: float, trans_sigma_mm: float, rng: np.random.Generator
 ) -> RigidTransform:
     """Tangent-space noise: right-multiplied rotation wobble, additive translation."""
-    r = t.rotation
-    if rot_sigma_rad > 0:
-        wobble = rng.normal(0.0, rot_sigma_rad, 3)
-        r = r @ rotation_about_axis(wobble, float(np.linalg.norm(wobble)))
-    trans = t.translation
-    if trans_sigma_mm > 0:
-        trans = trans + rng.normal(0.0, trans_sigma_mm, 3)
-    return RigidTransform(r, trans)
+    r, trans = _perturb(t.rotation[None], t.translation[None], rot_sigma_rad, trans_sigma_mm, rng)
+    return RigidTransform(r[0], trans[0])
 
 
 def _diverse_rotations(
@@ -273,13 +280,6 @@ def generate_tipcal_dataset(
     return TipCalDataset(tuple(samples), gt.hand_eye_solution())
 
 
-def _tool_orientation_in_base(plan: PlannedCut) -> np.ndarray:
-    # blade along the cut, z down the depth axis; right-handed by construction
-    return np.column_stack(
-        [plan.direction, np.cross(plan.depth_axis, plan.direction), plan.depth_axis]
-    )
-
-
 def synthesize_ruso_trial(
     gt: RigGroundTruth,
     plan: PlannedCut,
@@ -299,22 +299,18 @@ def synthesize_ruso_trial(
     if noise.tracker_rot_sigma_rad == 0 and noise.tracker_trans_sigma_mm == 0:
         return nominal
     tracker_from_base = invert(gt.base_from_tracker)
-    hand_eye = gt.hand_eye_solution()
-    pivot = gt.pivot_solution()
-    r_tool = _tool_orientation_in_base(plan)
-    tip_offset = r_tool @ gt.tip_in_tool
-    points = np.empty_like(nominal.points)
-    for k, p in enumerate(nominal.points):
-        tool_in_base = RigidTransform(r_tool, p - tip_offset)
-        measured = perturb_transform(
-            compose(tracker_from_base, tool_in_base),
-            noise.tracker_rot_sigma_rad,
-            noise.tracker_trans_sigma_mm,
-            rng,
-        )
-        points[k] = transform_point(
-            compose(hand_eye.base_from_tracker, measured), pivot.tip_in_tool
-        )
+    # tool orientation: blade along the cut, z down the depth axis; right-handed
+    r_tool = np.column_stack(
+        [plan.direction, np.cross(plan.depth_axis, plan.direction), plan.depth_axis]
+    )
+    rotations, translations = _perturb(
+        np.broadcast_to(tracker_from_base.rotation @ r_tool, (len(nominal.points), 3, 3)),
+        transform_point(tracker_from_base, nominal.points - r_tool @ gt.tip_in_tool),
+        noise.tracker_rot_sigma_rad,
+        noise.tracker_trans_sigma_mm,
+        rng,
+    )
+    points = transform_point(gt.base_from_tracker, rotations @ gt.tip_in_tool + translations)
     return TrajectoryRecording(nominal.timestamps, points, nominal.tool_active)
 
 

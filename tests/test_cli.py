@@ -190,6 +190,13 @@ def bad_inputs(tmp_path_factory):
         "pass_policy": {"depth_increment_mm": 1.0},
     }
     (d / "plan_nan.json").write_text(json.dumps(plan))
+    plan["entry_point"] = [0.0, 0.0, 0.0]
+    (d / "plan_huge_int.json").write_text(json.dumps({**plan, "length_mm": 10**400}))
+    (d / "plan_long_int.json").write_text(json.dumps(plan).replace("10.0", "1" * 5000))
+    (d / "plan_huge_k.json").write_text(json.dumps({**plan, "analysis": {"K": 10**13}}))
+    (d / "deep.json").write_text("[" * 100_000)
+    huge = {**solution["base_from_tracker"], "translation_mm": [10**400, 0, 0]}
+    (d / "he_huge_int.json").write_text(json.dumps({**solution, "base_from_tracker": huge}))
     return d
 
 
@@ -214,6 +221,16 @@ CLI_ERROR_CASES = [
                  "ParseError", "line 8: duplicate OT,Tool row", id="duplicate-pose-row"),
     pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_nan.json", 1,
                  "ParseError", "plan.entry_point.0 must be a finite number", id="plan-nan"),
+    pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_huge_int.json", 1,
+                 "ParseError", "plan.length_mm must be a finite number", id="plan-huge-int"),
+    pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_long_int.json", 1,
+                 "ParseError", "invalid JSON", id="plan-int-too-long"),
+    pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_huge_k.json", 1,
+                 "ParseError", "analysis.K must be an integer from 1 to 1000000", id="plan-huge-k"),
+    pytest.param("report --input {d}/deep.json", 1, "ParseError", "invalid JSON",
+                 id="report-nested-too-deeply"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_huge_int.json", 1,
+                 "ParseError", "invalid transform", id="handeye-huge-int"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",

@@ -14,6 +14,7 @@ from cutcal.geometry import (
     max_line_angle,
     orthonormalize,
     rotation_about_axis,
+    rotation_angle,
     rotation_angle_between,
     transform_point,
 )
@@ -204,6 +205,32 @@ class TestRotationHelpers:
         for _ in range(50):
             a, b = random_rotation(rng), random_rotation(rng)
             assert abs(rotation_angle_between(a, b) - rotation_angle_between(b, a)) < 1e-12
+
+    def test_angles_of_a_stack_equal_the_per_matrix_angles(self, rng):
+        a = np.array([random_rotation(rng) for _ in range(24)]).reshape(2, 12, 3, 3)
+        b = np.array([random_rotation(rng) for _ in range(12)])
+        b[0] = a[0, 0]  # zero angle
+        b[1] = a[0, 1] @ rz(180).rotation  # angle pi
+        angles = rotation_angle(a)
+        between = rotation_angle_between(a, b)  # b broadcasts over the leading axis
+        one_to_many = rotation_angle_between(a[0, 0], b)
+        assert angles.shape == between.shape == (2, 12) and one_to_many.shape == (12,)
+        for i in range(2):
+            for j in range(12):
+                assert angles[i, j] == rotation_angle(a[i, j])
+                assert between[i, j] == rotation_angle_between(a[i, j], b[j])
+                assert one_to_many[j] == rotation_angle_between(a[0, 0], b[j])
+        assert between[0, 0] == 0.0 and abs(between[0, 1] - math.pi) < 1e-12
+
+    def test_rotations_about_stacked_axes_equal_the_per_axis_rotations(self, rng):
+        axes = rng.normal(size=(20, 3))
+        angles = rng.uniform(-math.pi, math.pi, 20)
+        stacked = rotation_about_axis(axes, angles)
+        assert stacked.shape == (20, 3, 3)
+        for k in range(20):
+            np.testing.assert_array_equal(stacked[k], rotation_about_axis(axes[k], angles[k]))
+        with pytest.raises(ValueError):
+            rotation_about_axis(np.vstack([axes, np.zeros(3)]), np.append(angles, 1.0))
 
     def test_orthonormalize_is_projection(self, rng):
         r = random_rotation(rng)

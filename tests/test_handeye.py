@@ -55,14 +55,48 @@ class TestBuildRelativeMotions:
         gt = RigGroundTruth.random(2)
         dataset = generate_handeye_dataset(gt, 6, seed=5)
         y = gt.base_from_tracker
-        for m in build_relative_motions(dataset):
-            assert_transforms_close(compose(m.a, y), compose(y, m.b), atol=1e-9)
+        for pairing in ("consecutive", "all_pairs"):
+            m = build_relative_motions(dataset, pairing=pairing)
+            assert len(m) > 0
+            for a_r, a_t, b_r, b_t in zip(
+                m.a_rotations, m.a_translations, m.b_rotations, m.b_translations
+            ):
+                a, b = RigidTransform(a_r, a_t), RigidTransform(b_r, b_t)
+                assert_transforms_close(compose(a, y), compose(y, b), atol=1e-9)
 
     def test_rotation_angles_match(self):
         gt = RigGroundTruth.random(3)
         dataset = generate_handeye_dataset(gt, 8, seed=6)
-        for m in build_relative_motions(dataset):
-            assert abs(rotation_angle(m.a.rotation) - rotation_angle(m.b.rotation)) < 1e-9
+        m = build_relative_motions(dataset)
+        assert len(m) > 0
+        assert np.all(np.abs(rotation_angle(m.a_rotations) - rotation_angle(m.b_rotations)) < 1e-9)
+
+    def test_stacked_motions_equal_per_pair_compose(self):
+        gt = RigGroundTruth.random(5)
+        noise = NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1)
+        dataset = generate_handeye_dataset(gt, 9, noise, seed=8)
+        min_rotation = math.radians(60.0)
+        s = dataset.samples
+        expected = [
+            (compose(s[j].robot_pose, invert(s[i].robot_pose)),
+             compose(s[j].tracker_pose, invert(s[i].tracker_pose)))
+            for i in range(len(s))
+            for j in range(i + 1, len(s))
+        ]
+        expected = [(a, b) for a, b in expected if rotation_angle(a.rotation) >= min_rotation]
+        m = build_relative_motions(dataset, min_rotation=min_rotation, pairing="all_pairs")
+        assert 0 < len(m) == len(expected) < 36
+        for k, (a, b) in enumerate(expected):
+            assert_transforms_close(RigidTransform(m.a_rotations[k], m.a_translations[k]), a)
+            assert_transforms_close(RigidTransform(m.b_rotations[k], m.b_translations[k]), b)
+
+    def test_one_station_is_insufficient(self, rng):
+        dataset = make_dataset(RigGroundTruth.random(6), [random_rigid(rng)])
+        for pairing in ("consecutive", "all_pairs"):
+            with pytest.raises(InsufficientMotion):
+                build_relative_motions(dataset, pairing=pairing)
+            with pytest.raises(InsufficientMotion):
+                calibrate_hand_eye(dataset, pairing=pairing)
 
     def test_all_pairs_yields_more_motions(self):
         gt = RigGroundTruth.random(4)

@@ -110,3 +110,21 @@ class TestReportSerialization:
             parse_report("{nope")
         with pytest.raises(ParseError):
             parse_report('{"trial_label": "R1.1"}')
+        good = report_to_dict(make_report())
+        bad_values = [
+            ("rmse_mm", "nan"), ("rmse_mm", math.nan), ("rmse_mm", math.inf), ("rmse_mm", True),
+            ("rmse_mm", None), ("rmse_mm", 10**400), ("target_depth_mm", "1e400"),
+        ]
+        bad_profiles = [
+            ("bin_count", 4.0), ("bin_count", True), ("bin_count", 0), ("bin_count", "4"),
+            ("depths_mm", [1.0, "x", None, 1.0]), ("depths_mm", [1.0, math.nan, None, 1.0]),
+            ("coverage", math.inf), ("bin_width_mm", "25"),
+        ]
+        docs = [{**good, key: value} for key, value in bad_values]
+        docs += [{**good, "profile": {**good["profile"], k: v}} for k, v in bad_profiles]
+        for doc in docs:
+            with pytest.raises(ParseError):
+                parse_report(json.dumps(doc))
+        with pytest.raises(ParseError):
+            parse_report(json.dumps(good).replace("0.09", "1e400"))
+        assert len(parse_report(json.dumps(good))) == 1

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from cutcal.errors import DegenerateConfiguration
-from cutcal.geometry import rotation_angle_between
+from cutcal.geometry import (
+    RigidTransform,
+    compose,
+    invert,
+    rotation_angle_between,
+    transform_point,
+)
 from cutcal.handeye import calibrate_hand_eye
 from cutcal.logio import serialize_pose_log, serialize_trajectory_log
 from cutcal.logio import PoseLogRow
@@ -19,6 +25,7 @@ from cutcal.simrig import (
     generate_handeye_dataset,
     generate_pivot_dataset,
     generate_tipcal_dataset,
+    perturb_transform,
     synthesize_muso_trial,
     synthesize_ruso_trial,
 )
@@ -62,6 +69,45 @@ class TestDeterminism:
         c = synthesize_muso_trial(plan, JitterModel(), rate_hz=6.0, seed=3)
         d = synthesize_muso_trial(plan, JitterModel(), rate_hz=6.0, seed=3)
         assert serialize_trajectory_log(c) == serialize_trajectory_log(d)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel(tracker_rot_sigma_rad=math.radians(0.05)),
+            NoiseModel(tracker_trans_sigma_mm=0.1),
+            NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1),
+        ],
+        ids=["rotation", "translation", "both"],
+    )
+    def test_ruso_trial_matches_per_sample_chain(self, noise):
+        gt = RigGroundTruth.random(8)
+        plan = plan_mm()
+        policy = PassPolicy(depth_increment_mm=4.0)
+        rec = synthesize_ruso_trial(gt, plan, policy, noise, rate_hz=10.0, seed=4)
+        # oracle: one pose per sample through compose / perturb_transform,
+        # drawing from the same generator sample by sample
+        nominal = sample_sequence(plan_sequence(plan, policy), 10.0)
+        rng = np.random.default_rng(4)
+        r_tool = np.column_stack(
+            [plan.direction, np.cross(plan.depth_axis, plan.direction), plan.depth_axis]
+        )
+        tracker_from_base = invert(gt.base_from_tracker)
+        expected = []
+        for p in nominal.points:
+            tool_in_base = RigidTransform(r_tool, p - r_tool @ gt.tip_in_tool)
+            measured = perturb_transform(
+                compose(tracker_from_base, tool_in_base),
+                noise.tracker_rot_sigma_rad,
+                noise.tracker_trans_sigma_mm,
+                rng,
+            )
+            expected.append(
+                transform_point(compose(gt.base_from_tracker, measured), gt.tip_in_tool)
+            )
+        np.testing.assert_array_equal(rec.timestamps, nominal.timestamps)
+        np.testing.assert_array_equal(rec.tool_active, nominal.tool_active)
+        np.testing.assert_allclose(rec.points, expected, rtol=0, atol=1e-9)
+        assert np.abs(rec.points - nominal.points).max() > 1e-3  # the noise is there
 
     def test_rig_reproducible_from_seed(self):
         a, b = RigGroundTruth.random(9), RigGroundTruth.random(9)
