@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CutcalError, ParseError
 from .geometry import FrameId, RigidTransform
 from .handeye import HandEyeDataset, HandEyeSample, HandEyeSolution, calibrate_hand_eye
@@ -70,7 +72,11 @@ def _transform_to_dict(t: RigidTransform) -> dict:
 
 def _transform_from_dict(doc: dict, where: str) -> RigidTransform:
     try:
-        return RigidTransform(doc["rotation"], doc["translation_mm"])
+        rotation = np.asarray(doc["rotation"], dtype=np.float64)
+        translation = np.asarray(doc["translation_mm"], dtype=np.float64)
+        if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
+            raise ValueError("rotation and translation_mm must be finite")
+        return RigidTransform(rotation, translation)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid transform in {where}: {e}") from e
 

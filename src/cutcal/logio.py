@@ -34,6 +34,9 @@ QUAT_NORM_WINDOW = (0.999, 1.001)
 # largest plan analysis.K: the depth profile holds K floats, so memory bounds it
 MAX_BIN_COUNT = 1_000_000
 
+# rows per chunk of the trajectory-log writer
+_WRITE_CHUNK_ROWS = 4096
+
 _FRAME_BY_LABEL = {f.value: f for f in FrameId}
 
 
@@ -214,10 +217,16 @@ def _scan_trajectory_lines(lines: list[str]) -> None:
 
 
 def serialize_trajectory_log(rec: TrajectoryRecording) -> str:
-    lines = [TRAJECTORY_LOG_HEADER]
-    for t, p, a in zip(rec.timestamps.tolist(), rec.points.tolist(), rec.tool_active.tolist()):
-        lines.append(f"{t!r},{p[0]!r},{p[1]!r},{p[2]!r},{int(a)}")
-    return "\n".join(lines) + "\n"
+    # Column by column, a chunk of rows at a time: the repr of a list of
+    # floats is the repr of each float, so one C call writes a column's
+    # fields. Chunks bound the field strings alive at once.
+    columns = (rec.timestamps, *rec.points.T, rec.tool_active.view(np.uint8))
+    parts = [TRAJECTORY_LOG_HEADER]
+    for start in range(0, len(rec), _WRITE_CHUNK_ROWS):
+        rows = slice(start, start + _WRITE_CHUNK_ROWS)
+        fields = [repr(col[rows].tolist())[1:-1].split(", ") for col in columns]
+        parts.append("\n".join(map(",".join, zip(*fields))))
+    return "\n".join(parts) + "\n"
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,11 @@ def bad_inputs(tmp_path_factory):
     (d / "deep.json").write_text("[" * 100_000)
     huge = {**solution["base_from_tracker"], "translation_mm": [10**400, 0, 0]}
     (d / "he_huge_int.json").write_text(json.dumps({**solution, "base_from_tracker": huge}))
+    for name, value in (("nan", math.nan), ("inf", math.inf)):
+        bad = {**solution["base_from_tracker"], "translation_mm": [value, 0.0, 0.0]}
+        (d / f"he_{name}_translation.json").write_text(
+            json.dumps({**solution, "base_from_tracker": bad})
+        )
     return d
 
 
@@ -231,6 +236,10 @@ CLI_ERROR_CASES = [
                  id="report-nested-too-deeply"),
     pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_huge_int.json", 1,
                  "ParseError", "invalid transform", id="handeye-huge-int"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_nan_translation.json", 1,
+                 "ParseError", "invalid transform", id="handeye-nan-translation"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_inf_translation.json", 1,
+                 "ParseError", "invalid transform", id="handeye-inf-translation"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",

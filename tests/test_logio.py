@@ -8,6 +8,7 @@ from conftest import assert_transforms_close, random_rigid
 from cutcal.errors import FrameError, NonMonotoneTime, ParseError
 from cutcal.geometry import FrameId, RigidTransform
 from cutcal.logio import (
+    _WRITE_CHUNK_ROWS,
     POSE_LOG_HEADER,
     TRAJECTORY_LOG_HEADER,
     AnalysisOptions,
@@ -42,6 +43,14 @@ def random_recording(rng, n=None) -> TrajectoryRecording:
         rng.normal(0, 100, (n, 3)),
         rng.integers(0, 2, n).astype(bool),
     )
+
+
+def row_by_row_trajectory_log(rec: TrajectoryRecording) -> str:
+    """The trajectory-log writer as a per-row f-string loop (the reference)."""
+    lines = [TRAJECTORY_LOG_HEADER]
+    for t, p, a in zip(rec.timestamps.tolist(), rec.points.tolist(), rec.tool_active.tolist()):
+        lines.append(f"{t!r},{p[0]!r},{p[1]!r},{p[2]!r},{int(a)}")
+    return "\n".join(lines) + "\n"
 
 
 def random_plan_file(rng) -> PlanFile:
@@ -188,6 +197,26 @@ class TestTrajectoryLog:
             np.testing.assert_array_equal(parsed.timestamps, rec.timestamps)
             np.testing.assert_array_equal(parsed.points, rec.points)
             np.testing.assert_array_equal(parsed.tool_active, rec.tool_active)
+
+    @pytest.mark.parametrize(
+        "n",
+        [2, _WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1,
+         2 * _WRITE_CHUNK_ROWS + 3],
+    )
+    def test_serialize_equals_row_by_row_writer(self, rng, n):
+        special = [-0.0, 5e-324, 1e-05, 1e16, 2.0**53 + 2, 123456789.123]
+        points = rng.normal(0, 100, (n, 3))
+        points.flat[: len(special)] = special
+        points[-1] = special[-3:]
+        steps = rng.uniform(0.01, 0.5, n - 2)
+        timestamps = np.concatenate([[-0.0, 5e-324], 1e-05 + np.cumsum(steps)])
+        rec = TrajectoryRecording(timestamps, points, rng.integers(0, 2, n).astype(bool))
+        text = serialize_trajectory_log(rec)
+        assert text == row_by_row_trajectory_log(rec)
+        parsed = parse_trajectory_log(text)
+        for got, want in ((parsed.timestamps, rec.timestamps), (parsed.points, rec.points)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(parsed.tool_active, rec.tool_active)
 
     def test_comment_text_is_a_malformed_row(self):
         for row in ("0.1,0,0,0,1 # x", "# note"):

@@ -26,6 +26,7 @@ from cutcal.simrig import (
     generate_pivot_dataset,
     generate_tipcal_dataset,
     perturb_transform,
+    _ar1,
     synthesize_muso_trial,
     synthesize_ruso_trial,
 )
@@ -108,6 +109,34 @@ class TestDeterminism:
         np.testing.assert_array_equal(rec.tool_active, nominal.tool_active)
         np.testing.assert_allclose(rec.points, expected, rtol=0, atol=1e-9)
         assert np.abs(rec.points - nominal.points).max() > 1e-3  # the noise is there
+
+    @pytest.mark.parametrize("sigma", [0.35, 0.0])
+    @pytest.mark.parametrize("spacing", ["uniform", "non-uniform"])
+    def test_ar1_matches_per_sample_loop(self, sigma, spacing):
+        def per_sample_ar1(timestamps, sigma, tau, rng):
+            n = len(timestamps)
+            if sigma == 0.0:
+                rng.normal(size=n)
+                return np.zeros(n)
+            w = rng.normal(size=n)
+            x = np.empty(n)
+            x[0] = sigma * w[0]
+            rho = np.exp(-np.diff(timestamps) / tau)
+            scale = sigma * np.sqrt(1.0 - rho**2)
+            for k in range(1, n):
+                x[k] = rho[k - 1] * x[k - 1] + scale[k - 1] * w[k]
+            return x
+
+        steps = np.full(5000, 0.01)
+        if spacing == "non-uniform":
+            steps = np.random.default_rng(1).uniform(1e-4, 0.5, 5000)
+        timestamps = np.cumsum(steps)
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        x = _ar1(timestamps, sigma, 0.2, rng)
+        expected = per_sample_ar1(timestamps, sigma, 0.2, oracle_rng)
+        assert x.dtype == np.float64 and x.shape == expected.shape
+        np.testing.assert_array_equal(x.view(np.int64), expected.view(np.int64))
+        assert rng.random() == oracle_rng.random()  # same number of draws
 
     def test_rig_reproducible_from_seed(self):
         a, b = RigGroundTruth.random(9), RigGroundTruth.random(9)
