@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .handeye import (
     HandEyeDataset,
-    HandEyeSample,
     HandEyeSolution,
     build_relative_motions,
     calibrate_hand_eye,
@@ -61,7 +60,6 @@ from .pointcal import (
     PivotDataset,
     PivotSolution,
     TipCalDataset,
-    TipCalSample,
     TipSolution,
     calibrate_pivot,
     calibrate_tip_in_ee,

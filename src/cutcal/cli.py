@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CutcalError, ParseError
-from .geometry import FrameId, RigidTransform
-from .handeye import HandEyeDataset, HandEyeSample, HandEyeSolution, calibrate_hand_eye
+from .geometry import FrameId, RigidTransform, quat_from_rotation
+from .handeye import HandEyeDataset, HandEyeSolution, calibrate_hand_eye
 from .logio import (
-    PoseLogRow,
+    _FRAME_CODE,
+    PoseLog,
     _number,
     dump_json,
     load_json,
@@ -32,7 +33,6 @@ from .metrics import TrialLabel, build_report
 from .pointcal import (
     PivotDataset,
     TipCalDataset,
-    TipCalSample,
     calibrate_pivot,
     calibrate_tip_in_ee,
 )
@@ -81,31 +81,31 @@ def _transform_from_dict(doc: dict, where: str) -> RigidTransform:
         raise ParseError(f"invalid transform in {where}: {e}") from e
 
 
-def _pose_pairs(rows: list[PoseLogRow], first, second) -> list[tuple]:
-    by_time: dict[float, dict] = {}
-    for r in rows:
-        key = (r.source, r.target)
-        if key in (first, second):
-            by_time.setdefault(r.timestamp, {})[key] = r.transform
-    pairs = [
-        (entry[first], entry[second])
-        for _, entry in sorted(by_time.items())
-        if first in entry and second in entry
-    ]
-    if not pairs:
+def _pose_pairs(log: PoseLog, first, second) -> tuple[np.ndarray, ...]:
+    """Rotations and translations of the ``first`` and of the ``second``
+    stream's rows at the timestamps both streams share, in timestamp order."""
+    a, b = log.rows_of(*first), log.rows_of(*second)
+    # timestamps are unique within a stream: parse_pose_log rejects duplicates
+    _, i, j = np.intersect1d(
+        log.timestamps[a], log.timestamps[b], assume_unique=True, return_indices=True
+    )
+    if not len(i):
         raise ParseError(
             f"no timestamp-paired ({first[0]},{first[1]}) and ({second[0]},{second[1]}) rows"
         )
-    return pairs
+    return (*log.poses(a[i]), *log.poses(b[j]))
 
 
 # Each command returns the text that main writes to --output (or stdout).
+# The calibrate commands let numpy overflow to inf or nan without a warning:
+# dump_json then rejects the result as a CutcalError.
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_calibrate_handeye(args) -> str:
-    rows = parse_pose_log(_read(args.input))
-    pairs = _pose_pairs(rows, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.TOOL))
-    dataset = HandEyeDataset(tuple(HandEyeSample(r, t) for r, t in pairs))
+    log = parse_pose_log(_read(args.input))
+    pairs = _pose_pairs(log, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.TOOL))
+    dataset = HandEyeDataset(*pairs)
     solution = calibrate_hand_eye(
         dataset,
         min_rotation=math.radians(args.min_rotation_deg),
@@ -122,18 +122,19 @@ def _cmd_calibrate_handeye(args) -> str:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_calibrate_pivot(args) -> str:
-    rows = parse_pose_log(_read(args.input))
-    poses = [r.transform for r in rows if (r.source, r.target) == (FrameId.OT, FrameId.TOOL)]
-    if not poses:
+    log = parse_pose_log(_read(args.input))
+    rows = log.rows_of(FrameId.OT, FrameId.TOOL)
+    if not len(rows):
         raise ParseError("no (OT,Tool) rows in pose log")
-    solution = calibrate_pivot(PivotDataset(tuple(poses)))
+    solution = calibrate_pivot(PivotDataset(*log.poses(rows)))
     return dump_json(
         {
             "tip_in_tool_mm": solution.tip_in_tool.tolist(),
             "divot_in_tracker_mm": solution.divot_in_tracker.tolist(),
             "rms_residual_mm": solution.rms_residual_mm,
-            "poses": len(poses),
+            "poses": len(rows),
         }
     )
 
@@ -153,19 +154,17 @@ def _load_handeye_solution(path: str) -> HandEyeSolution:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_calibrate_tip(args) -> str:
-    rows = parse_pose_log(_read(args.input))
-    pairs = _pose_pairs(rows, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.DIGITIZER))
-    hand_eye = _load_handeye_solution(args.handeye)
-    dataset = TipCalDataset(
-        tuple(TipCalSample(r, d) for r, d in pairs), hand_eye=hand_eye
-    )
+    log = parse_pose_log(_read(args.input))
+    pairs = _pose_pairs(log, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.DIGITIZER))
+    dataset = TipCalDataset(*pairs, hand_eye=_load_handeye_solution(args.handeye))
     solution = calibrate_tip_in_ee(dataset, max_spread_mm=args.max_spread_mm)
     return dump_json(
         {
             "ee_from_tip": _transform_to_dict(solution.ee_from_tip),
             "tip_position_spread_mm": solution.spread_mm,
-            "samples": len(dataset.samples),
+            "samples": len(dataset),
         }
     )
 
@@ -187,14 +186,18 @@ def _cmd_analyze(args) -> str:
 
 
 def _pose_log(*streams) -> str:
-    """Pose-log text of (source, target, poses) streams: row i of every
-    stream in turn, stamped float(i)."""
-    rows = [
-        PoseLogRow.from_transform(float(i), source, target, pose)
-        for i, poses in enumerate(zip(*(poses for _, _, poses in streams)))
-        for (source, target, _), pose in zip(streams, poses)
-    ]
-    return serialize_pose_log(rows)
+    """Pose-log text of (source, target, rotations, translations) streams:
+    row i of every stream in turn, stamped float(i)."""
+    n = len(streams[0][2])
+    return serialize_pose_log(
+        PoseLog(
+            np.repeat(np.arange(n, dtype=np.float64), len(streams)),
+            np.tile([_FRAME_CODE[source] for source, _, _, _ in streams], n),
+            np.tile([_FRAME_CODE[target] for _, target, _, _ in streams], n),
+            np.stack([[quat_from_rotation(r) for r in s[2]] for s in streams], axis=1),
+            np.stack([s[3] for s in streams], axis=1),
+        )
+    )
 
 
 def _cmd_simulate(args) -> str:
@@ -236,18 +239,18 @@ def _cmd_simulate(args) -> str:
             noise=noise,
             seed=args.seed,
         )
-        text = _pose_log((FrameId.OT, FrameId.TOOL, dataset.poses))
+        text = _pose_log((FrameId.OT, FrameId.TOOL, dataset.rotations, dataset.translations))
     elif args.kind == "handeye":
-        samples = generate_handeye_dataset(rig, args.poses, noise=noise, seed=args.seed).samples
+        he = generate_handeye_dataset(rig, args.poses, noise=noise, seed=args.seed)
         text = _pose_log(
-            (FrameId.S, FrameId.EE, [s.robot_pose for s in samples]),
-            (FrameId.OT, FrameId.TOOL, [s.tracker_pose for s in samples]),
+            (FrameId.S, FrameId.EE, he.robot_rotations, he.robot_translations),
+            (FrameId.OT, FrameId.TOOL, he.tracker_rotations, he.tracker_translations),
         )
     else:
-        samples = generate_tipcal_dataset(rig, args.poses, noise=noise, seed=args.seed).samples
+        tip = generate_tipcal_dataset(rig, args.poses, noise=noise, seed=args.seed)
         text = _pose_log(
-            (FrameId.S, FrameId.EE, [s.robot_pose for s in samples]),
-            (FrameId.OT, FrameId.DIGITIZER, [s.digitizer_pose for s in samples]),
+            (FrameId.S, FrameId.EE, tip.robot_rotations, tip.robot_translations),
+            (FrameId.OT, FrameId.DIGITIZER, tip.digitizer_rotations, tip.digitizer_translations),
         )
     if args.ground_truth_output:
         _write(

@@ -50,6 +50,8 @@ ROTATION_ATOL = 1e-9
 Rotation3 = np.ndarray  # (3, 3) proper orthonormal matrix
 Vector3 = np.ndarray  # (3,) float
 
+_EYE = np.eye(3)
+
 # u @ _CROSS is the cross-product matrix of u, flattened: K(u) @ v == np.cross(u, v)
 _CROSS = np.array([np.cross(e, np.eye(3)).T for e in np.eye(3)]).reshape(3, 9)
 
@@ -69,12 +71,27 @@ def _freeze(obj, shape, *names, dtype=np.float64) -> None:
         object.__setattr__(obj, name, a)
 
 
+def _freeze_poses(obj, rotations: str, translations: str) -> None:
+    """Freeze one pose set of a dataset: rotations (N, 3, 3), each a proper
+    rotation, and translations (N, 3) of the same length."""
+    _freeze(obj, (-1, 3, 3), rotations)
+    _freeze(obj, (-1, 3), translations)
+    _check_rotation(getattr(obj, rotations))
+    if len(getattr(obj, rotations)) != len(getattr(obj, translations)):
+        raise ValueError(f"{rotations} and {translations} differ in length")
+
+
 def _check_rotation(r: np.ndarray, atol: float = ROTATION_ATOL) -> None:
-    if r.shape != (3, 3):
+    """Raise ValueError unless ``r`` is a proper rotation, or a (..., 3, 3) stack of them.
+
+    The orthonormality test is ``np.allclose(r @ r.T, I, atol=atol)`` written
+    out, so NaN fails it: |R R^T - I| <= atol + 1e-5 |I| elementwise.
+    """
+    if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    if not np.allclose(r @ r.T, np.eye(3), atol=atol):
+    if not (np.abs(r @ np.swapaxes(r, -1, -2) - _EYE) <= atol + 1e-5 * _EYE).all():
         raise ValueError("rotation matrix is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > atol:
+    if not (np.abs(np.linalg.det(r) - 1.0) <= atol).all():
         raise ValueError("rotation matrix is not proper (det != +1)")
 
 
@@ -199,60 +216,91 @@ def rotation_angle_between(a: Rotation3, b: Rotation3):
 
 
 def rotvec_from_rotation(r: Rotation3) -> np.ndarray:
-    """Axis-angle vector (log map) of a rotation; magnitude is the angle."""
+    """Axis-angle vector (log map) of a rotation, or (..., 3) of a (..., 3, 3)
+    stack; magnitude is the angle."""
     r = np.asarray(r, dtype=np.float64)
+    shape = r.shape[:-1]
+    r = r.reshape(-1, 3, 3)
     angle = rotation_angle(r)
-    antisym = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if angle < 1e-10:
-        # first order: log(R) ~ (R - R^T) / 2
-        return antisym / 2.0
-    if math.pi - angle < 1e-6:
-        # near pi the antisymmetric part vanishes; take the axis from R + I
-        m = r + np.eye(3)
-        col = m[:, np.argmax(np.diag(m))]
-        axis = col / np.linalg.norm(col)
-        # fix the sign from the largest antisymmetric component
-        if antisym @ axis < 0:
-            axis = -axis
-        return axis * angle
-    scale = angle / (2.0 * math.sin(angle))
-    return scale * antisym
+    antisym = np.stack(
+        [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=1
+    )
+    # first order near 0: log(R) ~ (R - R^T) / 2
+    scale = np.full(len(r), 0.5)
+    near_pi = math.pi - angle < 1e-6
+    generic = (angle >= 1e-10) & ~near_pi
+    scale[generic] = angle[generic] / (2.0 * np.sin(angle[generic]))
+    out = scale[:, None] * antisym
+    if near_pi.any():
+        # near pi the antisymmetric part vanishes; take the axis from the
+        # column of R + I with the largest diagonal entry
+        m = r[near_pi] + _EYE
+        k = np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)
+        col = m[np.arange(len(m)), :, k]
+        axis = col / _norms(col)[:, None]
+        # fix the sign from the antisymmetric part
+        flip = np.einsum("ij,ij->i", antisym[near_pi], axis) < 0
+        axis[flip] = -axis[flip]
+        out[near_pi] = axis * angle[near_pi, None]
+    return out.reshape(shape)
 
 
 def rotation_from_quat(quat) -> Rotation3:
-    """Rotation matrix of a quaternion (w, x, y, z), normalized first."""
-    q = np.asarray(quat, dtype=np.float64).reshape(4)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    """Rotation matrix of a quaternion (w, x, y, z), or (N, 3, 3) of (N, 4);
+    each quaternion is normalized first."""
+    q = np.asarray(quat, dtype=np.float64)
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"quaternions must be (..., 4), got {q.shape}")
+    n = _norms(q)
+    if not n.all():
         raise ValueError("zero quaternion")
-    w, x, y, z = q / n
-    return np.array(
+    w, x, y, z = np.moveaxis(q / n[..., None], -1, 0)
+    r = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
             [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return np.moveaxis(r, (0, 1), (-2, -1))
 
 
-def max_line_angle(unit_directions) -> float:
-    """Largest angle between any two lines along the given unit directions,
-    in [0, pi/2]; a direction and its negation are the same line."""
-    d = np.asarray(unit_directions, dtype=np.float64)
-    cos = np.abs(np.clip(d @ d.T, -1.0, 1.0))
-    np.fill_diagonal(cos, 1.0)
-    return float(np.arccos(cos.min()))
+# rows of the direction stack per block of lines_spread_at_least: a block of
+# the cosine matrix is this many rows by N, so memory stays O(N)
+_SPREAD_CHUNK_ROWS = 64
+
+
+def lines_spread_at_least(unit_directions, min_angle: float) -> bool:
+    """Whether some two lines along the given unit directions (N, 3) are at
+    least ``min_angle`` apart; a direction and its negation are the same line.
+
+    Equal to ``largest pairwise line angle >= min_angle``, where one line
+    spreads 0 and an empty stack not at all, but built from row blocks of the
+    cosine matrix, stopping at the first block that reaches the bound.
+    """
+    d = np.asarray(unit_directions, dtype=np.float64).reshape(-1, 3)
+    for start in range(0, len(d), _SPREAD_CHUNK_ROWS):
+        cos = np.abs(np.clip(d[start : start + _SPREAD_CHUNK_ROWS] @ d.T, -1.0, 1.0))
+        rows = np.arange(len(cos))
+        cos[rows, start + rows] = 1.0  # a line with itself
+        # the block's smallest cosine is its widest angle
+        if np.arccos(cos.min()) >= min_angle:
+            return True
+    return False
 
 
 def orthonormalize(m) -> Rotation3:
-    """Nearest proper rotation (Frobenius) to an arbitrary 3x3 matrix."""
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64).reshape(3, 3))
+    """Nearest proper rotation (Frobenius) to an arbitrary 3x3 matrix, or to
+    each of a (..., 3, 3) stack."""
+    u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
     d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., :, 2] *= d[..., None]  # u @ diag(1, 1, d)
+    return u @ vt
 
 
-def best_fit_rotation(pairs) -> Rotation3:
-    """Least-squares rotation mapping each pair's first vector to its second.
+def best_fit_rotation(a, b) -> Rotation3:
+    """Least-squares rotation mapping each row of ``a`` (M, 3) to the same
+    row of ``b``.
 
     Minimizes sum ||R a_i - b_i||^2 over proper rotations (SVD solution).
     Vector magnitudes act as weights.
@@ -261,12 +309,12 @@ def best_fit_rotation(pairs) -> Rotation3:
         DegenerateConfiguration: fewer than two pairs, or all input
             directions collinear (the rotation about that line is free).
     """
-    arr = np.asarray([(a, b) for a, b in pairs], dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[1:] != (2, 3):
-        raise ValueError("pairs must be (a, b) 3-vector tuples")
-    if arr.shape[0] < 2:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1:] != (3,) or a.shape != b.shape:
+        raise ValueError("a and b must be (M, 3) arrays of the same shape")
+    if len(a) < 2:
         raise DegenerateConfiguration("need at least 2 direction pairs")
-    a, b = arr[:, 0, :], arr[:, 1, :]
     h = a.T @ b  # maximize tr(R H)
     u, s, vt = np.linalg.svd(h)
     if s[1] <= 1e-8 * max(s[0], 1e-300):
@@ -300,12 +348,6 @@ def rotation_between_vectors(u, v) -> Rotation3:
 def _norms(v: np.ndarray) -> np.ndarray:
     """Norm of a 3-vector or of each row of a stack, bit-equal to np.linalg.norm."""
     return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
-
-
-def _stack(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N, 3, 3) and translations (N, 3) of a sequence of transforms."""
-    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
-    return rotations, np.array([p.translation for p in poses]).reshape(-1, 3)
 
 
 def quat_from_rotation(r: Rotation3) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 A dataset pairs, per station i, the robot pose ``base_from_ee_i`` (forward
 kinematics) with the tracker pose ``tracker_from_tool_i`` (optical
-measurement of the marker body mounted on the end-effector). Two fixed
+measurement of the marker body mounted on the end-effector), each pose set
+held as one stack of rotations and one of translations. Two fixed
 transforms are estimated:
 
 - ``base_from_tracker`` (Y): pose of the tracker in the robot base frame.
@@ -28,10 +29,11 @@ import numpy as np
 from .errors import DegenerateConfiguration, InsufficientMotion
 from .geometry import (
     RigidTransform,
-    _stack,
+    _freeze_poses,
+    _norms,
     best_fit_rotation,
     invert,
-    max_line_angle,
+    lines_spread_at_least,
     orthonormalize,
     rotation_angle,
     rotation_angle_between,
@@ -44,20 +46,24 @@ DEFAULT_MIN_AXIS_SEPARATION = math.radians(15.0)
 
 
 @dataclass(frozen=True)
-class HandEyeSample:
-    robot_pose: RigidTransform  # base_from_ee
-    tracker_pose: RigidTransform  # tracker_from_tool
-
-
-@dataclass(frozen=True)
 class HandEyeDataset:
-    samples: tuple[HandEyeSample, ...]
+    """Station i is row i of each stack: the robot pose ``base_from_ee`` and
+    the tracker pose ``tracker_from_tool``, rotations (N, 3, 3) and
+    translations (N, 3) in mm."""
+
+    robot_rotations: np.ndarray
+    robot_translations: np.ndarray
+    tracker_rotations: np.ndarray
+    tracker_translations: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        _freeze_poses(self, "robot_rotations", "robot_translations")
+        _freeze_poses(self, "tracker_rotations", "tracker_translations")
+        if len(self.robot_rotations) != len(self.tracker_rotations):
+            raise ValueError("robot and tracker stacks differ in length")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.robot_rotations)
 
 
 @dataclass(frozen=True)
@@ -83,9 +89,8 @@ class HandEyeSolution:
     residual_translation_mm: float
 
 
-def _motions(poses: list[RigidTransform], i: np.ndarray, j: np.ndarray):
-    """compose(poses[j], invert(poses[i])) for each index pair, stacked."""
-    rotations, translations = _stack(poses)
+def _motions(rotations: np.ndarray, translations: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """compose(pose[j], invert(pose[i])) for each index pair, stacked."""
     rel = rotations[j] @ np.swapaxes(rotations[i], 1, 2)
     return rel, translations[j] - np.einsum("nij,nj->ni", rel, translations[i])
 
@@ -112,13 +117,13 @@ def build_relative_motions(
     else:
         raise ValueError(f"unknown pairing scheme {pairing!r}")
 
-    a_r, a_t = _motions([s.robot_pose for s in dataset.samples], i, j)
+    a_r, a_t = _motions(dataset.robot_rotations, dataset.robot_translations, i, j)
     keep = rotation_angle(a_r) >= min_rotation
     if not keep.any():
         raise InsufficientMotion(
             f"no relative motion rotates by at least {math.degrees(min_rotation):.1f} deg"
         )
-    b_r, b_t = _motions([s.tracker_pose for s in dataset.samples], i[keep], j[keep])
+    b_r, b_t = _motions(dataset.tracker_rotations, dataset.tracker_translations, i[keep], j[keep])
     return RelativeMotions(a_r[keep], a_t[keep], b_r, b_t)
 
 
@@ -137,25 +142,33 @@ def solve_base_to_tracker(
     exactly on noiseless data).
 
     Raises:
-        DegenerateConfiguration: two or more motions whose rotation axes are
-            all parallel within ``min_axis_separation`` (translation along
-            the common axis is unobservable).
+        DegenerateConfiguration: no motion rotates (its log map is below
+            1e-9 rad), a single motion whose tracker side does not, or two
+            or more motions whose rotation axes are all parallel within
+            ``min_axis_separation`` (translation along the common axis is
+            unobservable).
     """
     if not len(motions):
         raise InsufficientMotion("no relative motions supplied")
 
-    rotvecs_a = np.array([rotvec_from_rotation(r) for r in motions.a_rotations])
-    rotvecs_b = np.array([rotvec_from_rotation(r) for r in motions.b_rotations])
+    rotvecs_a = rotvec_from_rotation(motions.a_rotations)
+    rotvecs_b = rotvec_from_rotation(motions.b_rotations)
+    # a motion whose log map is this small carries no rotation axis
+    norms = _norms(rotvecs_a)
+    moved = norms > 1e-9
+    if not moved.any():
+        raise DegenerateConfiguration("no relative motion rotates")
 
     if len(motions) == 1:
+        if not _norms(rotvecs_b[0]) > 1e-9:
+            raise DegenerateConfiguration("the tracker side of the one motion does not rotate")
         r_y = rotation_between_vectors(rotvecs_b[0], rotvecs_a[0])
     else:
-        axes = rotvecs_a / np.linalg.norm(rotvecs_a, axis=1, keepdims=True)
-        if max_line_angle(axes) < min_axis_separation:
+        if not lines_spread_at_least(rotvecs_a[moved] / norms[moved, None], min_axis_separation):
             raise DegenerateConfiguration(
                 "rotation axes of all relative motions are (near-)parallel"
             )
-        r_y = best_fit_rotation(zip(rotvecs_b, rotvecs_a))
+        r_y = best_fit_rotation(rotvecs_b, rotvecs_a)
 
     rows = (motions.a_rotations - np.eye(3)).reshape(-1, 3)
     rhs = (motions.b_translations @ r_y.T - motions.a_translations).reshape(-1)
@@ -176,8 +189,8 @@ def solve_ee_to_tool(dataset: HandEyeDataset, base_from_tracker: RigidTransform)
     """
     if len(dataset) == 0:
         raise DegenerateConfiguration("empty dataset")
-    robot_r, robot_t = _stack([s.robot_pose for s in dataset.samples])
-    tracker_r, tracker_t = _stack([s.tracker_pose for s in dataset.samples])
+    robot_r, robot_t = dataset.robot_rotations, dataset.robot_translations
+    tracker_r, tracker_t = dataset.tracker_rotations, dataset.tracker_translations
     # pose of the tool in the base frame, per station
     tool_r = base_from_tracker.rotation @ tracker_r
     tool_t = tracker_t @ base_from_tracker.rotation.T + base_from_tracker.translation
@@ -194,8 +207,8 @@ def closure_residuals(
     dataset: HandEyeDataset, base_from_tracker: RigidTransform, ee_from_tool: RigidTransform
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample loop-closure errors (rotation rad, translation mm)."""
-    robot_r, robot_t = _stack([s.robot_pose for s in dataset.samples])
-    tracker_r, tracker_t = _stack([s.tracker_pose for s in dataset.samples])
+    robot_r, robot_t = dataset.robot_rotations, dataset.robot_translations
+    tracker_r, tracker_t = dataset.tracker_rotations, dataset.tracker_translations
     # predicted tracker_from_tool = invert(Y) . base_from_ee . X
     w, x = invert(base_from_tracker), ee_from_tool
     predicted_r = w.rotation @ robot_r @ x.rotation

@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError, InvalidPolicy, NonMonotoneTime, ParseError
-from .geometry import FrameId, RigidTransform, _freeze
+from .errors import CutcalError, FrameError, InvalidPolicy, NonMonotoneTime, ParseError
+from .geometry import (
+    FrameId,
+    RigidTransform,
+    _freeze,
+    _norms,
+    orthonormalize,
+    rotation_from_quat,
+)
 from .metrics import GatePolicy, PlannedCut, TrajectoryRecording
 from .planner import PassPolicy
 
@@ -37,11 +44,20 @@ MAX_BIN_COUNT = 1_000_000
 # rows per chunk of the trajectory-log writer
 _WRITE_CHUNK_ROWS = 4096
 
-_FRAME_BY_LABEL = {f.value: f for f in FrameId}
+# a pose log stores each frame as its index in this tuple
+_FRAMES = tuple(FrameId)
+_FRAME_CODE = {f: k for k, f in enumerate(_FRAMES)}
+_FRAME_CODE_BY_LABEL = {f.value: k for k, f in enumerate(_FRAMES)}
+_FRAME_LABELS = np.array([f.value for f in _FRAMES])
+
+# names of the numbers after the frames in a pose-log row, for error messages
+_POSE_NUMBER_NAMES = ("quaternion component",) * 4 + ("translation component",) * 3
 
 
 @dataclass(frozen=True)
 class PoseLogRow:
+    """One row of a pose log; ``PoseLog[i]`` gives row i in this form."""
+
     timestamp: float
     source: FrameId
     target: FrameId
@@ -61,6 +77,76 @@ class PoseLogRow:
         cls, timestamp: float, source: FrameId, target: FrameId, t: RigidTransform
     ) -> PoseLogRow:
         return cls(timestamp, source, target, t.quat_wxyz(), t.translation)
+
+
+_POSE_LOG_COLUMNS = ("timestamps", "sources", "targets", "quats_wxyz", "translations")
+
+
+@dataclass(frozen=True, eq=False)
+class PoseLog:
+    """A pose log held as column stacks, row i of the file at index i.
+
+    ``sources`` and ``targets`` hold each row's frames as indices into
+    ``tuple(FrameId)``. Quaternions are unit (w, x, y, z); translations in mm.
+    """
+
+    timestamps: np.ndarray  # (N,)
+    sources: np.ndarray  # (N,) int8
+    targets: np.ndarray  # (N,) int8
+    quats_wxyz: np.ndarray  # (N, 4)
+    translations: np.ndarray  # (N, 3)
+
+    def __post_init__(self):
+        _freeze(self, -1, "timestamps")
+        _freeze(self, -1, "sources", "targets", dtype=np.int8)
+        _freeze(self, (-1, 4), "quats_wxyz")
+        _freeze(self, (-1, 3), "translations")
+        if len({len(getattr(self, name)) for name in _POSE_LOG_COLUMNS}) != 1:
+            raise ValueError("pose-log columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows) -> PoseLog:
+        rows = list(rows)
+        return cls(
+            np.array([r.timestamp for r in rows], dtype=np.float64),
+            np.array([_FRAME_CODE[r.source] for r in rows], dtype=np.int8),
+            np.array([_FRAME_CODE[r.target] for r in rows], dtype=np.int8),
+            np.array([r.quat_wxyz for r in rows], dtype=np.float64),
+            np.array([r.translation for r in rows], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i: int) -> PoseLogRow:
+        return PoseLogRow(
+            float(self.timestamps[i]),
+            _FRAMES[self.sources[i]],
+            _FRAMES[self.targets[i]],
+            self.quats_wxyz[i],
+            self.translations[i],
+        )
+
+    def __eq__(self, other) -> bool:
+        """Equal to a pose log or a sequence of rows holding the same values."""
+        if not isinstance(other, PoseLog):
+            if not isinstance(other, (list, tuple)):
+                return NotImplemented
+            other = PoseLog.from_rows(other)
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _POSE_LOG_COLUMNS
+        )
+
+    def rows_of(self, source: FrameId, target: FrameId) -> np.ndarray:
+        """Indices of the (source, target) rows, in file order."""
+        mask = (self.sources == _FRAME_CODE[source]) & (self.targets == _FRAME_CODE[target])
+        return np.flatnonzero(mask)
+
+    def poses(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Rotations (M, 3, 3) and translations (M, 3) of the given rows; each
+        rotation is the one ``RigidTransform.from_quat_wxyz`` would hold."""
+        return orthonormalize(rotation_from_quat(self.quats_wxyz[rows])), self.translations[rows]
 
 
 def _decode(data: str | bytes) -> str:
@@ -83,8 +169,16 @@ def load_json(data: str | bytes):
 
 
 def dump_json(doc) -> str:
-    """The JSON text every output file uses: 2-space indent, sorted keys."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The JSON text every output file uses: 2-space indent, sorted keys.
+
+    Raises:
+        CutcalError: the document holds NaN or an infinity, which JSON
+            cannot carry.
+    """
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise CutcalError(f"output holds a non-finite number: {e}") from None
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
@@ -100,54 +194,93 @@ def _parse_float(text: str, what: str, line: int) -> float:
     return value
 
 
-def _parse_frame(label: str, line: int) -> FrameId:
+def _frame_code(label: str, line: int) -> int:
     try:
-        return _FRAME_BY_LABEL[label]
+        return _FRAME_CODE_BY_LABEL[label]
     except KeyError:
         raise FrameError(f"unknown frame label {label!r}", line) from None
 
 
-def parse_pose_log(data: str | bytes) -> list[PoseLogRow]:
-    """Parse a pose log; raises ParseError/FrameError with 1-based lines.
+def _unit_quaternions(quats: np.ndarray, linenos: list[int]) -> np.ndarray:
+    """Check each quaternion's norm and renormalize the ones off unit norm;
+    ParseError at the first one outside QUAT_NORM_WINDOW."""
+    norms = _norms(quats)
+    outside = ~((QUAT_NORM_WINDOW[0] <= norms) & (norms <= QUAT_NORM_WINDOW[1]))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ParseError(f"quaternion norm {norms[k]:.6g} outside {QUAT_NORM_WINDOW}", linenos[k])
+    off = np.abs(norms - 1.0) > 1e-12
+    return np.where(off[:, None], quats / norms[:, None], quats)
 
-    A second row with the same (timestamp, source, target) is an error.
+
+def parse_pose_log(data: str | bytes) -> PoseLog:
+    """Parse a pose log into one stacked PoseLog; raises ParseError/FrameError
+    with 1-based lines.
+
+    A second row with the same (timestamp, source, target) is an error. A row
+    is checked field by field in file order, and a bad quaternion norm is
+    reported at its own row, before any error on a later row.
     """
     text = _decode(data)
     lines = text.splitlines()
     if not lines or lines[0].strip() != POSE_LOG_HEADER:
         raise ParseError(f"expected header {POSE_LOG_HEADER!r}", 1)
-    rows = []
+    keys, numbers, linenos = [], [], []
     seen = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if len(fields) != 10:
-            raise ParseError(f"expected 10 fields, got {len(fields)}", lineno)
-        timestamp = _parse_float(fields[0], "timestamp", lineno)
-        source = _parse_frame(fields[1].strip(), lineno)
-        target = _parse_frame(fields[2].strip(), lineno)
-        if (timestamp, source, target) in seen:
-            raise ParseError(f"duplicate {source},{target} row at timestamp {timestamp!r}", lineno)
-        seen.add((timestamp, source, target))
-        quat = np.array([_parse_float(f, "quaternion component", lineno) for f in fields[3:7]])
-        trans = np.array([_parse_float(f, "translation component", lineno) for f in fields[7:10]])
-        norm = float(np.linalg.norm(quat))
-        if not (QUAT_NORM_WINDOW[0] <= norm <= QUAT_NORM_WINDOW[1]):
-            raise ParseError(f"quaternion norm {norm:.6g} outside {QUAT_NORM_WINDOW}", lineno)
-        if abs(norm - 1.0) > 1e-12:
-            quat = quat / norm
-        rows.append(PoseLogRow(timestamp, source, target, quat, trans))
-    return rows
+    try:
+        for lineno, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            fields = raw.split(",")
+            if len(fields) != 10:
+                raise ParseError(f"expected 10 fields, got {len(fields)}", lineno)
+            timestamp = _parse_float(fields[0], "timestamp", lineno)
+            key = (
+                timestamp,
+                _frame_code(fields[1].strip(), lineno),
+                _frame_code(fields[2].strip(), lineno),
+            )
+            if key in seen:
+                source, target = _FRAMES[key[1]], _FRAMES[key[2]]
+                raise ParseError(
+                    f"duplicate {source},{target} row at timestamp {timestamp!r}", lineno
+                )
+            seen.add(key)
+            keys.append(key)
+            numbers.append(
+                [timestamp]
+                + [
+                    _parse_float(field, name, lineno)
+                    for field, name in zip(fields[3:], _POSE_NUMBER_NAMES)
+                ]
+            )
+            linenos.append(lineno)
+    except ParseError:
+        # a bad quaternion on an earlier row comes first
+        _unit_quaternions(np.array(numbers, dtype=np.float64).reshape(-1, 8)[:, 1:5], linenos)
+        raise
+    numbers = np.array(numbers, dtype=np.float64).reshape(-1, 8)
+    frames = np.array(keys, dtype=np.float64).reshape(-1, 3)[:, 1:]
+    return PoseLog(
+        numbers[:, 0],
+        frames[:, 0],
+        frames[:, 1],
+        _unit_quaternions(numbers[:, 1:5], linenos),
+        numbers[:, 5:],
+    )
 
 
 def serialize_pose_log(rows) -> str:
-    out = [POSE_LOG_HEADER]
-    for r in rows:
-        q = ",".join(repr(float(v)) for v in r.quat_wxyz)
-        t = ",".join(repr(float(v)) for v in r.translation)
-        out.append(f"{float(r.timestamp)!r},{r.source},{r.target},{q},{t}")
-    return "\n".join(out) + "\n"
+    """Pose-log text of a PoseLog, or of a sequence of PoseLogRow."""
+    log = rows if isinstance(rows, PoseLog) else PoseLog.from_rows(rows)
+    columns = (
+        log.timestamps,
+        _FRAME_LABELS[log.sources],
+        _FRAME_LABELS[log.targets],
+        *log.quats_wxyz.T,
+        *log.translations.T,
+    )
+    return _write_csv(POSE_LOG_HEADER, columns)
 
 
 def parse_trajectory_log(data: str | bytes) -> TrajectoryRecording:
@@ -217,14 +350,24 @@ def _scan_trajectory_lines(lines: list[str]) -> None:
 
 
 def serialize_trajectory_log(rec: TrajectoryRecording) -> str:
-    # Column by column, a chunk of rows at a time: the repr of a list of
-    # floats is the repr of each float, so one C call writes a column's
-    # fields. Chunks bound the field strings alive at once.
     columns = (rec.timestamps, *rec.points.T, rec.tool_active.view(np.uint8))
-    parts = [TRAJECTORY_LOG_HEADER]
-    for start in range(0, len(rec), _WRITE_CHUNK_ROWS):
+    return _write_csv(TRAJECTORY_LOG_HEADER, columns)
+
+
+def _write_csv(header: str, columns) -> str:
+    """CSV text of equal-length columns, column by column, a chunk of rows at
+    a time. The repr of a list of numbers is the repr of each number, so one
+    C call writes a numeric column's fields; string columns are written as
+    they are. Chunks bound the field strings alive at once."""
+    parts = [header]
+    for start in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
         rows = slice(start, start + _WRITE_CHUNK_ROWS)
-        fields = [repr(col[rows].tolist())[1:-1].split(", ") for col in columns]
+        fields = [
+            col[rows].tolist()
+            if col.dtype.kind == "U"
+            else repr(col[rows].tolist())[1:-1].split(", ")
+            for col in columns
+        ]
         parts.append("\n".join(map(",".join, zip(*fields))))
     return "\n".join(parts) + "\n"
 

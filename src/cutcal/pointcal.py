@@ -25,11 +25,10 @@ from .errors import DegenerateConfiguration, InconsistentSamples
 from .geometry import (
     RigidTransform,
     _freeze,
+    _freeze_poses,
     _norms,
-    _stack,
     compose,
-    invert,
-    max_line_angle,
+    lines_spread_at_least,
     rotation_angle_between,
     rotvec_from_rotation,
     transform_point,
@@ -43,13 +42,17 @@ DEFAULT_MAX_TIP_SPREAD_MM = 1.0
 
 @dataclass(frozen=True)
 class PivotDataset:
-    poses: tuple[RigidTransform, ...]  # tracker_from_tool while pivoting
+    """Tracker poses ``tracker_from_tool`` while pivoting: rotations (N, 3, 3)
+    and translations (N, 3) in mm."""
+
+    rotations: np.ndarray
+    translations: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "poses", tuple(self.poses))
+        _freeze_poses(self, "rotations", "translations")
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.rotations)
 
 
 @dataclass(frozen=True)
@@ -69,19 +72,23 @@ class TipSolution:
 
 
 @dataclass(frozen=True)
-class TipCalSample:
-    robot_pose: RigidTransform  # base_from_ee
-    digitizer_pose: RigidTransform  # tracker_from_digitizer; translation is the tip point
-
-
-@dataclass(frozen=True)
 class TipCalDataset:
-    samples: tuple[TipCalSample, ...]
+    """Sample i is row i of each stack: the robot pose ``base_from_ee`` and
+    the digitizer pose ``tracker_from_digitizer``, whose translation is the
+    tip point; rotations (N, 3, 3) and translations (N, 3) in mm."""
+
+    robot_rotations: np.ndarray
+    robot_translations: np.ndarray
+    digitizer_rotations: np.ndarray
+    digitizer_translations: np.ndarray
     hand_eye: HandEyeSolution
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
+        _freeze_poses(self, "robot_rotations", "robot_translations")
+        _freeze_poses(self, "digitizer_rotations", "digitizer_translations")
+        if len(self.robot_rotations) != len(self.digitizer_rotations):
+            raise ValueError("robot and digitizer stacks differ in length")
+        if not len(self):
             raise ValueError("tip calibration needs at least one sample")
         if not (
             math.isfinite(self.hand_eye.residual_rotation_rad)
@@ -89,11 +96,14 @@ class TipCalDataset:
         ):
             raise ValueError("hand-eye solution has non-finite residuals")
 
+    def __len__(self) -> int:
+        return len(self.robot_rotations)
+
 
 def pivot_residuals(dataset: PivotDataset, solution: PivotSolution) -> np.ndarray:
     """Per-pose distances between the predicted tip and the divot, mm."""
-    rotations, translations = _stack(dataset.poses)
-    return _norms(rotations @ solution.tip_in_tool + translations - solution.divot_in_tracker)
+    predicted = dataset.rotations @ solution.tip_in_tool + dataset.translations
+    return _norms(predicted - solution.divot_in_tracker)
 
 
 def calibrate_pivot(
@@ -113,22 +123,27 @@ def calibrate_pivot(
     if n < 3:
         raise DegenerateConfiguration(f"pivot calibration needs >= 3 poses, got {n}")
 
-    rotations, translations = _stack(dataset.poses)
-    # one row of pairs at a time: the full n(n-1)/2 stack would cost memory
-    spread = max(
-        rotation_angle_between(rotations[i], rotations[i + 1 :]).max() for i in range(n - 1)
-    )
-    if spread < min_rotation_spread:
+    rotations, translations = dataset.rotations, dataset.translations
+    # one row of pairs at a time, stopping at the first row that reaches the
+    # bound: the full n(n-1)/2 stack would cost memory, and only a failure
+    # needs the largest angle, for its message
+    spread = 0.0
+    for i in range(n - 1):
+        spread = max(spread, rotation_angle_between(rotations[i], rotations[i + 1 :]).max())
+        if spread >= min_rotation_spread:
+            break
+    else:
         raise DegenerateConfiguration(
             f"rotation spread {math.degrees(spread):.2f} deg below "
             f"{math.degrees(min_rotation_spread):.1f} deg"
         )
 
     # all rotations about one common axis leave the along-axis tip component free
-    rotvecs = np.array([rotvec_from_rotation(r) for r in rotations[1:] @ rotations[0].T])
-    norms = np.linalg.norm(rotvecs, axis=1)
+    rotvecs = rotvec_from_rotation(rotations[1:] @ rotations[0].T)
+    norms = _norms(rotvecs)
     moved = norms > 1e-9
-    if moved.any() and max_line_angle(rotvecs[moved] / norms[moved, None]) < min_axis_spread:
+    axes = rotvecs[moved] / norms[moved, None]
+    if moved.any() and not lines_spread_at_least(axes, min_axis_spread):
         raise DegenerateConfiguration("all pivot rotations share one rotation axis")
 
     a = np.concatenate([rotations, np.broadcast_to(-np.eye(3), (n, 3, 3))], axis=2)
@@ -141,12 +156,18 @@ def calibrate_pivot(
     return replace(solution, rms_residual_mm=float(np.sqrt(np.mean(residuals**2))))
 
 
-def tip_poses_in_ee(dataset: TipCalDataset) -> list[RigidTransform]:
-    """Per-sample pose of the tip in the EE frame via the calibrated chain."""
+def tip_poses_in_ee(dataset: TipCalDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample pose of the tip in the EE frame via the calibrated chain,
+    ``invert(robot) . Y . digitizer``: rotations (N, 3, 3), translations (N, 3)."""
     y = dataset.hand_eye.base_from_tracker
-    return [
-        compose(compose(invert(s.robot_pose), y), s.digitizer_pose) for s in dataset.samples
-    ]
+    ee_from_base = np.swapaxes(dataset.robot_rotations, 1, 2)
+    ee_from_tracker = ee_from_base @ y.rotation
+    # translation of ee_from_tracker: R_ee^T t_Y - R_ee^T t_ee
+    tracker_in_ee = ee_from_base @ y.translation - np.einsum(
+        "nij,nj->ni", ee_from_base, dataset.robot_translations
+    )
+    digitizer_in_ee = np.einsum("nij,nj->ni", ee_from_tracker, dataset.digitizer_translations)
+    return ee_from_tracker @ dataset.digitizer_rotations, digitizer_in_ee + tracker_in_ee
 
 
 def calibrate_tip_in_ee(
@@ -162,15 +183,14 @@ def calibrate_tip_in_ee(
         InconsistentSamples: some sample's tip position deviates from the
             mean by more than ``max_spread_mm``.
     """
-    poses = tip_poses_in_ee(dataset)
-    positions = np.array([p.translation for p in poses])
+    rotations, positions = tip_poses_in_ee(dataset)
     mean = positions.mean(axis=0)
     spread = float(np.linalg.norm(positions - mean, axis=1).max())
     if spread > max_spread_mm:
         raise InconsistentSamples(
             f"tip positions spread {spread:.3f} mm exceeds {max_spread_mm:.3f} mm"
         )
-    return TipSolution(RigidTransform(poses[0].rotation, mean), spread)
+    return TipSolution(RigidTransform(rotations[0], mean), spread)
 
 
 def tip_position_in_base(

@@ -25,14 +25,14 @@ from .geometry import (
     _norms,
     compose,
     invert,
-    max_line_angle,
+    lines_spread_at_least,
     rotation_about_axis,
     rotation_angle,
     rotation_from_quat,
     rotvec_from_rotation,
     transform_point,
 )
-from .handeye import HandEyeDataset, HandEyeSample, HandEyeSolution
+from .handeye import HandEyeDataset, HandEyeSolution
 from .metrics import PlannedCut, TrajectoryRecording
 from .planner import (
     DEFAULT_RETRACT_CLEARANCE,
@@ -44,7 +44,7 @@ from .planner import (
     plan_sequence,
     sample_sequence,
 )
-from .pointcal import PivotDataset, PivotSolution, TipCalDataset, TipCalSample
+from .pointcal import PivotDataset, PivotSolution, TipCalDataset
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,11 @@ def perturb_transform(
     return RigidTransform(r[0], trans[0])
 
 
+def _stacked(poses: list[RigidTransform]) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N, 3, 3) and translations (N, 3) of the generated poses."""
+    return np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+
+
 def _diverse_rotations(
     rng: np.random.Generator, n: int, min_rel_angle: float, min_axis_sep: float
 ) -> list[np.ndarray]:
@@ -172,7 +177,9 @@ def _diverse_rotations(
                 continue
             axis = rotvec_from_rotation(rel)
             axis /= np.linalg.norm(axis)
-            if prev_axis is not None and max_line_angle([axis, prev_axis]) < min_axis_sep:
+            if prev_axis is not None and not lines_spread_at_least(
+                [axis, prev_axis], min_axis_sep
+            ):
                 continue
             rotations.append(cand)
             prev_axis = axis
@@ -203,21 +210,19 @@ def generate_handeye_dataset(
     tracker_from_base = invert(gt.base_from_tracker)
     rotations = _diverse_rotations(rng, n, min_rel_angle, min_axis_sep)
     center = np.asarray(workspace_center, dtype=np.float64)
-    samples = []
+    robots, trackers = [], []
     for r in rotations:
         robot = RigidTransform(r, center + rng.uniform(-0.5, 0.5, 3) * workspace_extent_mm)
         tracker = compose(compose(tracker_from_base, robot), gt.ee_from_tool)
-        samples.append(
-            HandEyeSample(
-                robot_pose=perturb_transform(
-                    robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng
-                ),
-                tracker_pose=perturb_transform(
-                    tracker, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
-                ),
+        robots.append(
+            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
+        )
+        trackers.append(
+            perturb_transform(
+                tracker, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
             )
         )
-    return HandEyeDataset(tuple(samples))
+    return HandEyeDataset(*_stacked(robots), *_stacked(trackers))
 
 
 def generate_pivot_dataset(
@@ -243,7 +248,7 @@ def generate_pivot_dataset(
         poses.append(
             perturb_transform(exact, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng)
         )
-    return PivotDataset(tuple(poses))
+    return PivotDataset(*_stacked(poses))
 
 
 def generate_tipcal_dataset(
@@ -262,23 +267,21 @@ def generate_tipcal_dataset(
     ee_from_tip = compose(
         gt.ee_from_tool, RigidTransform(np.eye(3), gt.tip_in_tool)
     )
-    samples = []
+    robots, digitizers = [], []
     for _ in range(n):
         robot = RigidTransform(
             random_rotation(rng), np.asarray(workspace_center) + rng.uniform(-150.0, 150.0, 3)
         )
         digitizer = compose(compose(tracker_from_base, robot), ee_from_tip)
-        samples.append(
-            TipCalSample(
-                robot_pose=perturb_transform(
-                    robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng
-                ),
-                digitizer_pose=perturb_transform(
-                    digitizer, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
-                ),
+        robots.append(
+            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
+        )
+        digitizers.append(
+            perturb_transform(
+                digitizer, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
             )
         )
-    return TipCalDataset(tuple(samples), gt.hand_eye_solution())
+    return TipCalDataset(*_stacked(robots), *_stacked(digitizers), gt.hand_eye_solution())
 
 
 def synthesize_ruso_trial(

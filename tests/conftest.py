@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,26 @@ def random_rigid(rng: np.random.Generator, trans_scale: float = 100.0) -> RigidT
 def assert_transforms_close(a: RigidTransform, b: RigidTransform, atol: float = 1e-9):
     np.testing.assert_allclose(a.rotation, b.rotation, atol=atol, rtol=0)
     np.testing.assert_allclose(a.translation, b.translation, atol=atol, rtol=0)
+
+
+def stack(poses) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (N, 3, 3) and translations (N, 3) of a sequence of transforms."""
+    return np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+
+
+def unstack(rotations, translations) -> list[RigidTransform]:
+    """One transform per row of a pose stack."""
+    return [RigidTransform(r, t) for r, t in zip(rotations, translations)]
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak memory that tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -180,6 +180,18 @@ def bad_inputs(tmp_path_factory):
     (d / "he_nan.json").write_text(json.dumps({**solution, "residual_translation_mm": math.nan}))
     lines = (d / "pivot.csv").read_text().splitlines()
     (d / "pivot_dup.csv").write_text("\n".join(lines + [lines[2]]) + "\n")  # dup at line 8
+    for name in ("pivot", "he"):
+        # every translation 1e308: sums overflow to inf, and inf - inf gives nan
+        lines = (d / f"{name}.csv").read_text().splitlines()
+        rows = [",".join(row.split(",")[:7] + ["1e308"] * 3) for row in lines[1:]]
+        (d / f"{name}_huge.csv").write_text("\n".join(lines[:1] + rows) + "\n")
+    # three stations at the first station's poses: no relative motion rotates
+    lines = (d / "he.csv").read_text().splitlines()
+    rows = [f"{i}.0," + row.split(",", 1)[1] for i in range(3) for row in lines[1:3]]
+    (d / "he_still.csv").write_text("\n".join(lines[:1] + rows) + "\n")
+    # two stations whose robot poses differ but whose tracker poses do not
+    rows = lines[1:4] + ["1.0," + lines[2].split(",", 1)[1]]
+    (d / "he_tracker_still.csv").write_text("\n".join(lines[:1] + rows) + "\n")
     plan = {
         "entry_point": [math.nan, 0.0, 0.0],
         "direction": [1.0, 0.0, 0.0],
@@ -240,6 +252,16 @@ CLI_ERROR_CASES = [
                  "ParseError", "invalid transform", id="handeye-nan-translation"),
     pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_inf_translation.json", 1,
                  "ParseError", "invalid transform", id="handeye-inf-translation"),
+    pytest.param("calibrate-pivot --input {d}/pivot_huge.csv", 1,
+                 "CutcalError", "non-finite number", id="pivot-huge-translation"),
+    pytest.param("calibrate-handeye --input {d}/he_huge.csv", 1,
+                 "CutcalError", "non-finite number", id="handeye-huge-translation"),
+    pytest.param("calibrate-handeye --min-rotation-deg 0 --input {d}/he_still.csv", 1,
+                 "DegenerateConfiguration", "no relative motion rotates",
+                 id="handeye-no-rotation"),
+    pytest.param("calibrate-handeye --input {d}/he_tracker_still.csv", 1,
+                 "DegenerateConfiguration", "tracker side of the one motion does not rotate",
+                 id="handeye-tracker-no-rotation"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",

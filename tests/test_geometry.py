@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_transforms_close, random_rigid
 from cutcal.errors import DegenerateConfiguration
@@ -11,17 +13,21 @@ from cutcal.geometry import (
     best_fit_rotation,
     compose,
     invert,
-    max_line_angle,
+    lines_spread_at_least,
+    _check_rotation,
     orthonormalize,
     rotation_about_axis,
     rotation_angle,
     rotation_angle_between,
+    rotation_from_quat,
+    rotvec_from_rotation,
     transform_point,
 )
-from cutcal.logio import PoseLogRow
+from cutcal.handeye import HandEyeDataset
+from cutcal.logio import PoseLog, PoseLogRow
 from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
 from cutcal.planner import Segment
-from cutcal.pointcal import PivotSolution
+from cutcal.pointcal import PivotDataset, PivotSolution
 from cutcal.simrig import RigGroundTruth, random_rotation
 
 
@@ -151,18 +157,17 @@ class TestBestFitRotation:
     def test_exact_recovery(self, rng):
         r = random_rotation(rng)
         dirs = rng.normal(size=(8, 3))
-        pairs = [(d, r @ d) for d in dirs]
-        np.testing.assert_allclose(best_fit_rotation(pairs), r, atol=1e-9)
+        np.testing.assert_allclose(best_fit_rotation(dirs, dirs @ r.T), r, atol=1e-9)
 
     def test_collinear_raises(self):
         d = np.array([1.0, 2.0, 3.0])
-        pairs = [(d, d), (2 * d, 2 * d), (-d, -d)]
+        a = np.array([d, 2 * d, -d])
         with pytest.raises(DegenerateConfiguration):
-            best_fit_rotation(pairs)
+            best_fit_rotation(a, a)
 
     def test_too_few_pairs_raises(self):
         with pytest.raises(DegenerateConfiguration):
-            best_fit_rotation([([1, 0, 0], [0, 1, 0])])
+            best_fit_rotation([[1, 0, 0]], [[0, 1, 0]])
 
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_noisy_fit_beats_exhaustive_grid(self, seed):
@@ -172,7 +177,7 @@ class TestBestFitRotation:
         dirs = rng.normal(size=(20, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         mapped = dirs @ r_true.T + rng.normal(0, 0.01, (20, 3))
-        fitted = best_fit_rotation(list(zip(dirs, mapped)))
+        fitted = best_fit_rotation(dirs, mapped)
 
         def cost(r):
             return float(np.sum((dirs @ r.T - mapped) ** 2))
@@ -246,12 +251,14 @@ class TestFrameId:
         assert {f.value for f in FrameId} == {"S", "EE", "Tool", "Tip", "OT", "Digitizer", "Phantom"}
 
 
-def test_max_line_angle_treats_opposite_directions_as_one_line():
+def test_line_spread_treats_opposite_directions_as_one_line():
     x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    assert max_line_angle([x, -x]) == 0.0
-    assert max_line_angle([x, -x, y]) == pytest.approx(math.pi / 2)
+    assert lines_spread_at_least([x, -x], 0.0)
+    assert not lines_spread_at_least([x, -x], 1e-12)
+    assert lines_spread_at_least([x, -x, y], math.pi / 2)
     diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    assert max_line_angle([x, -diagonal]) == pytest.approx(math.pi / 4)
+    assert lines_spread_at_least([x, -diagonal], math.pi / 4 - 1e-12)
+    assert not lines_spread_at_least([x, -diagonal], math.pi / 4 + 1e-12)
 
 
 def _value_types():
@@ -259,6 +266,11 @@ def _value_types():
     return [
         (PoseLogRow(0.0, FrameId.S, FrameId.EE, [1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
          ("quat_wxyz", "translation")),
+        (PoseLog([0.0], [0], [1], [[1.0, 0.0, 0.0, 0.0]], [[1.0, 2.0, 3.0]]),
+         ("timestamps", "sources", "targets", "quats_wxyz", "translations")),
+        (HandEyeDataset(np.eye(3)[None], np.zeros((1, 3)), np.eye(3)[None], np.ones((1, 3))),
+         ("robot_rotations", "robot_translations", "tracker_rotations", "tracker_translations")),
+        (PivotDataset(np.eye(3)[None], np.zeros((1, 3))), ("rotations", "translations")),
         (plan, ("entry_point", "direction", "depth_axis")),
         (Segment([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0, True), ("start", "end")),
         (TrajectoryRecording([0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [True, False]),
@@ -287,3 +299,128 @@ def test_freezing_leaves_the_callers_array_writable():
     solution = PivotSolution(tip, np.zeros(3), 0.0)
     tip[0] = 5.0
     assert tip.flags.writeable and solution.tip_in_tool[0] == 5.0  # a view, not a copy
+
+
+# References for the stacked geometry: the per-matrix forms they replaced.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def rotvec_per_matrix(r) -> np.ndarray:
+    """Log map of one rotation, branch by branch (the reference)."""
+    angle = rotation_angle(r)
+    antisym = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if angle < 1e-10:
+        return antisym / 2.0
+    if math.pi - angle < 1e-6:
+        m = r + np.eye(3)
+        col = m[:, np.argmax(np.diag(m))]
+        axis = col / np.linalg.norm(col)
+        if antisym @ axis < 0:
+            axis = -axis
+        return axis * angle
+    return angle / (2.0 * math.sin(angle)) * antisym
+
+
+def rotation_from_one_quat(quat) -> np.ndarray:
+    """Rotation of one quaternion (w, x, y, z) (the reference)."""
+    q = np.asarray(quat, dtype=np.float64).reshape(4)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def max_line_angle(unit_directions) -> float:
+    """Largest angle between any two lines, from the full cosine matrix (the reference)."""
+    d = np.asarray(unit_directions, dtype=np.float64)
+    cos = np.abs(np.clip(d @ d.T, -1.0, 1.0))
+    np.fill_diagonal(cos, 1.0)
+    return float(np.arccos(cos.min()))
+
+
+def allclose_accepts(r, atol=1e-9) -> bool:
+    """The rotation check as np.allclose plus a determinant test (the reference)."""
+    return np.allclose(r @ r.T, np.eye(3), atol=atol) and not abs(np.linalg.det(r) - 1.0) > atol
+
+
+def accepts(r) -> bool:
+    try:
+        _check_rotation(r)
+    except ValueError:
+        return False
+    return True
+
+
+unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+axes = st.tuples(unit, unit, unit).filter(lambda v: np.linalg.norm(v) > 1e-3)
+# angles near 0 and near pi take the two special branches of the log map
+angles = st.one_of(
+    st.floats(0.0, 1e-9), st.floats(0.0, math.pi), st.floats(math.pi - 1e-5, math.pi)
+)
+
+
+class TestStackedGeometry:
+    @PROPERTY
+    @given(st.lists(st.tuples(axes, angles), min_size=1, max_size=20))
+    def test_stacked_log_map_equals_the_per_matrix_form(self, motions):
+        r = np.array([rotation_about_axis(axis, angle) for axis, angle in motions])
+        stacked = rotvec_from_rotation(r)
+        assert stacked.shape == (len(r), 3)
+        for k in range(len(r)):
+            np.testing.assert_array_equal(stacked[k], rotvec_per_matrix(r[k]))
+            np.testing.assert_array_equal(rotvec_from_rotation(r[k]), rotvec_per_matrix(r[k]))
+
+    @PROPERTY
+    @given(st.lists(st.tuples(unit, unit, unit, unit), min_size=1, max_size=20))
+    def test_batched_quaternions_equal_the_per_quaternion_form(self, quats):
+        q = np.array(quats)
+        if not np.linalg.norm(q, axis=1).all():
+            with pytest.raises(ValueError, match="zero quaternion"):
+                rotation_from_quat(q)
+            return
+        stacked = rotation_from_quat(q)
+        assert stacked.shape == (len(q), 3, 3)
+        for k in range(len(q)):
+            np.testing.assert_array_equal(stacked[k], rotation_from_one_quat(q[k]))
+            np.testing.assert_array_equal(rotation_from_quat(q[k]), rotation_from_one_quat(q[k]))
+
+    @PROPERTY
+    @given(
+        # small integer vectors give exact ties: repeated, opposite, orthogonal lines
+        st.lists(st.one_of(axes, st.tuples(*[st.integers(-2, 2)] * 3)), min_size=1, max_size=150)
+        .map(lambda v: np.array(v, dtype=np.float64))
+        .filter(lambda v: np.linalg.norm(v, axis=1).all()),
+        st.one_of(st.floats(0.0, math.pi / 2), st.sampled_from(["at", "above"])),
+    )
+    def test_early_exit_spread_equals_the_full_matrix_decision(self, vectors, bound):
+        d = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        widest = max_line_angle(d)
+        if bound == "at":
+            bound = widest
+        elif bound == "above":
+            bound = float(np.nextafter(widest, math.inf))
+        assert lines_spread_at_least(d, bound) == (widest >= bound)
+
+    def test_check_rotation_keeps_the_allclose_accept_set(self):
+        # each family crosses one bound: off-diagonal of R R^T (1e-9), its
+        # diagonal (1e-9 + 1e-5) and the determinant (1e-9)
+        steps = 1.0 + np.arange(-3, 4) * 1e-6
+        families = {
+            "off-diagonal": [np.eye(3) + np.diag([e, 0.0], 1) + np.diag([e, 0.0], -1)
+                             for e in 0.5e-9 * steps],
+            "diagonal": [np.diag([s, 1.0 / s, 1.0]) for s in np.sqrt(1.0 + (1e-9 + 1e-5) * steps)],
+            "determinant": [np.eye(3) * s for s in np.cbrt(1.0 + 1e-9 * steps)],
+        }
+        for name, matrices in families.items():
+            expected = [allclose_accepts(r) for r in matrices]
+            assert any(expected) and not all(expected), name
+            assert [accepts(r) for r in matrices] == expected, name
+            ok = np.array([r for r, good in zip(matrices, expected) if good])
+            assert accepts(ok) and not accepts(np.array(matrices))
+        nan = np.eye(3)
+        nan[0, 1] = math.nan
+        assert not allclose_accepts(nan) and not accepts(nan)

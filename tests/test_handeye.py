@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_transforms_close, random_rigid
+from conftest import assert_transforms_close, peak_traced_bytes, random_rigid, stack, unstack
 from cutcal.errors import DegenerateConfiguration, InsufficientMotion
 from cutcal.geometry import (
     RigidTransform,
@@ -15,7 +15,6 @@ from cutcal.geometry import (
 )
 from cutcal.handeye import (
     HandEyeDataset,
-    HandEyeSample,
     build_relative_motions,
     calibrate_hand_eye,
     closure_residuals,
@@ -27,11 +26,16 @@ from cutcal.simrig import NoiseModel, RigGroundTruth, generate_handeye_dataset
 
 def make_dataset(gt: RigGroundTruth, robot_poses) -> HandEyeDataset:
     w = invert(gt.base_from_tracker)
-    samples = [
-        HandEyeSample(robot, compose(compose(w, robot), gt.ee_from_tool))
-        for robot in robot_poses
-    ]
-    return HandEyeDataset(tuple(samples))
+    trackers = [compose(compose(w, robot), gt.ee_from_tool) for robot in robot_poses]
+    return HandEyeDataset(*stack(robot_poses), *stack(trackers))
+
+
+def poses_of(dataset: HandEyeDataset) -> tuple[list, list]:
+    """The robot and the tracker poses of a dataset, one transform each."""
+    return (
+        unstack(dataset.robot_rotations, dataset.robot_translations),
+        unstack(dataset.tracker_rotations, dataset.tracker_translations),
+    )
 
 
 def recovery_errors(solution, gt):
@@ -76,12 +80,11 @@ class TestBuildRelativeMotions:
         noise = NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1)
         dataset = generate_handeye_dataset(gt, 9, noise, seed=8)
         min_rotation = math.radians(60.0)
-        s = dataset.samples
+        robots, trackers = poses_of(dataset)
         expected = [
-            (compose(s[j].robot_pose, invert(s[i].robot_pose)),
-             compose(s[j].tracker_pose, invert(s[i].tracker_pose)))
-            for i in range(len(s))
-            for j in range(i + 1, len(s))
+            (compose(robots[j], invert(robots[i])), compose(trackers[j], invert(trackers[i])))
+            for i in range(len(dataset))
+            for j in range(i + 1, len(dataset))
         ]
         expected = [(a, b) for a, b in expected if rotation_angle(a.rotation) >= min_rotation]
         m = build_relative_motions(dataset, min_rotation=min_rotation, pairing="all_pairs")
@@ -152,7 +155,7 @@ class TestSolveEeToTool:
         dataset = make_dataset(gt, [RigidTransform.identity()])
         x = solve_ee_to_tool(dataset, gt.base_from_tracker)
         # with A' = I the equation reads X = B' directly
-        expected = compose(gt.base_from_tracker, dataset.samples[0].tracker_pose)
+        expected = compose(gt.base_from_tracker, poses_of(dataset)[1][0])
         assert_transforms_close(x, expected, atol=1e-9)
 
     def test_least_squares_beats_first_sample_estimate(self):
@@ -163,8 +166,8 @@ class TestSolveEeToTool:
         dataset = generate_handeye_dataset(gt, 15, noise, seed=24)
         y = gt.base_from_tracker
         x_ls = solve_ee_to_tool(dataset, y)
-        first = dataset.samples[0]
-        x_first = compose(invert(first.robot_pose), compose(y, first.tracker_pose))
+        robots, trackers = poses_of(dataset)
+        x_first = compose(invert(robots[0]), compose(y, trackers[0]))
         rot_ls, trans_ls = closure_residuals(dataset, y, x_ls)
         rot_f, trans_f = closure_residuals(dataset, y, x_first)
         assert np.sqrt(np.mean(trans_ls**2)) <= np.sqrt(np.mean(trans_f**2))
@@ -200,12 +203,10 @@ class TestCalibrateHandEye:
         rot = []
         trans = []
         tracker_from_base = invert(solution.base_from_tracker)
-        for s in dataset.samples:
-            predicted = compose(
-                compose(tracker_from_base, s.robot_pose), solution.ee_from_tool
-            )
-            rot.append(rotation_angle_between(predicted.rotation, s.tracker_pose.rotation))
-            trans.append(np.linalg.norm(predicted.translation - s.tracker_pose.translation))
+        for robot, tracker in zip(*poses_of(dataset)):
+            predicted = compose(compose(tracker_from_base, robot), solution.ee_from_tool)
+            rot.append(rotation_angle_between(predicted.rotation, tracker.rotation))
+            trans.append(np.linalg.norm(predicted.translation - tracker.translation))
         assert abs(solution.residual_rotation_rad - np.sqrt(np.mean(np.square(rot)))) < 1e-12
         assert abs(solution.residual_translation_mm - np.sqrt(np.mean(np.square(trans)))) < 1e-12
 
@@ -245,3 +246,12 @@ class TestCalibrateHandEye:
                 errs.append(trans_y + trans_x)
             medians.append(float(np.median(errs)))
         assert medians[0] <= medians[1] <= medians[2]
+
+
+def test_all_pairs_at_200_stations_runs_in_bounded_memory():
+    # 19,900 motions: a full motion-by-motion matrix of axis cosines alone is 3.2 GB
+    gt = RigGroundTruth.random(60)
+    noise = NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1)
+    dataset = generate_handeye_dataset(gt, 200, noise, seed=61)
+    peak = peak_traced_bytes(lambda: calibrate_hand_eye(dataset, pairing="all_pairs"))
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"

@@ -3,9 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_transforms_close, random_rigid
-from cutcal.errors import FrameError, NonMonotoneTime, ParseError
+from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
 from cutcal.geometry import FrameId, RigidTransform
 from cutcal.logio import (
     _WRITE_CHUNK_ROWS,
@@ -13,6 +15,7 @@ from cutcal.logio import (
     TRAJECTORY_LOG_HEADER,
     AnalysisOptions,
     PlanFile,
+    PoseLog,
     PoseLogRow,
     parse_plan,
     parse_pose_log,
@@ -148,6 +151,166 @@ class TestPoseLog:
                 assert a.source is b.source and a.target is b.target
                 np.testing.assert_array_equal(a.quat_wxyz, b.quat_wxyz)
                 np.testing.assert_array_equal(a.translation, b.translation)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def row_by_row_pose_log(rows) -> str:
+    """The pose-log writer as a per-row f-string loop (the reference)."""
+    out = [POSE_LOG_HEADER]
+    for r in rows:
+        q = ",".join(repr(float(v)) for v in r.quat_wxyz)
+        t = ",".join(repr(float(v)) for v in r.translation)
+        out.append(f"{float(r.timestamp)!r},{r.source},{r.target},{q},{t}")
+    return "\n".join(out) + "\n"
+
+
+def per_row_pose_log(text: str) -> list[PoseLogRow]:
+    """The pose-log parser one row at a time, every check in file order (the reference)."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != POSE_LOG_HEADER:
+        raise ParseError(f"expected header {POSE_LOG_HEADER!r}", 1)
+    frames = {f.value: f for f in FrameId}
+
+    def number(field, what, line):
+        if "_" in field or not field.strip().isascii():
+            raise ParseError(f"bad {what}: {field!r}", line)
+        try:
+            value = float(field)
+        except ValueError:
+            raise ParseError(f"bad {what}: {field!r}", line) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite {what}: {field!r}", line)
+        return value
+
+    def frame(label, line):
+        if label not in frames:
+            raise FrameError(f"unknown frame label {label!r}", line)
+        return frames[label]
+
+    rows, seen = [], set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        fields = raw.split(",")
+        if len(fields) != 10:
+            raise ParseError(f"expected 10 fields, got {len(fields)}", lineno)
+        timestamp = number(fields[0], "timestamp", lineno)
+        source, target = frame(fields[1].strip(), lineno), frame(fields[2].strip(), lineno)
+        if (timestamp, source, target) in seen:
+            raise ParseError(f"duplicate {source},{target} row at timestamp {timestamp!r}", lineno)
+        seen.add((timestamp, source, target))
+        quat = np.array([number(f, "quaternion component", lineno) for f in fields[3:7]])
+        trans = np.array([number(f, "translation component", lineno) for f in fields[7:10]])
+        norm = float(np.linalg.norm(quat))
+        if not (0.999 <= norm <= 1.001):
+            raise ParseError(f"quaternion norm {norm:.6g} outside (0.999, 1.001)", lineno)
+        if abs(norm - 1.0) > 1e-12:
+            quat = quat / norm
+        rows.append(PoseLogRow(timestamp, source, target, quat, trans))
+    return rows
+
+
+def outcome(parse, text):
+    """What a parser makes of a text: its rows as plain values, or its error."""
+    try:
+        rows = parse(text)
+    except CutcalError as e:
+        return type(e), getattr(e, "line", None), str(e)
+    return [
+        (r.timestamp, r.source, r.target, r.quat_wxyz.tobytes(), r.translation.tobytes())
+        for r in rows
+    ]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def pose_rows(min_size=0):
+    """Lists of pose-log rows with unit quaternions and distinct keys."""
+    return st.lists(
+        st.tuples(
+            finite,
+            st.sampled_from(list(FrameId)),
+            st.sampled_from(list(FrameId)),
+            st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+            st.tuples(finite, finite, finite),
+        ),
+        min_size=min_size,
+        max_size=30,
+        unique_by=lambda row: row[:3],
+    ).map(
+        lambda rows: [
+            PoseLogRow(t, s, g, np.array(q) / np.linalg.norm(q), np.array(p))
+            for t, s, g, q, p in rows
+        ]
+    )
+
+# field replacements that break a row in each way the parser checks
+BAD_TOKENS = ["x", "", "1_0", "\u0661", "nan", "-inf", "1e400", " 0.25 ", "0.5", "2", "0",
+              "Banana", "S", "OT", "Tool", "1,2"]
+
+
+class TestStackedPoseLog:
+    @PROPERTY
+    @given(pose_rows())
+    def test_serialize_parse_is_exact_and_matches_the_row_writer(self, rows):
+        text = row_by_row_pose_log(rows)
+        log = PoseLog.from_rows(rows)
+        assert serialize_pose_log(log) == serialize_pose_log(rows) == text
+        parsed = parse_pose_log(text)
+        assert len(parsed) == len(rows) and parsed == rows
+        for name in ("timestamps", "quats_wxyz", "translations"):
+            assert getattr(parsed, name).tobytes() == getattr(log, name).tobytes()
+        assert serialize_pose_log(parsed) == text
+
+    @PROPERTY
+    @given(
+        pose_rows(min_size=3),
+        st.lists(
+            st.tuples(st.integers(0, 29), st.integers(0, 9), st.sampled_from(BAD_TOKENS)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_errors_and_rows_equal_the_per_row_parser(self, rows, edits, blank_line):
+        lines = row_by_row_pose_log(rows).splitlines()
+        for row, field, token in edits:
+            k = 1 + row % len(rows)
+            fields = lines[k].split(",")
+            fields[field] = token
+            lines[k] = ",".join(fields)
+        if blank_line:
+            lines.insert(1 + len(rows) // 2, "  ")
+        text = "\n".join(lines) + "\n"
+        assert outcome(parse_pose_log, text) == outcome(per_row_pose_log, text)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,S,EE,2,0,0,0,0,0,0", "1,S,EE,x,0,0,0,0,0,0"],  # bad norm, then bad number
+            ["0,S,EE,0,0,0,0,0,0,0", "1,S,Nope,1,0,0,0,0,0,0"],  # then unknown frame
+            ["0,S,EE,2,0,0,0,0,0,0", "0,S,EE,1,0,0,0,0,0,0"],  # then duplicate
+            ["0,S,EE,1,0,0,0,0,0,0", "0,S,EE,x,0,0,0,0,0,0"],  # duplicate before bad number
+            ["0,S,EE,1,0,0,0,0,0,0", "1,S,EE,0.5,0,0,0,x,0,0"],  # bad number before bad norm
+        ],
+    )
+    def test_first_error_in_file_order_wins(self, rows):
+        text = "\n".join([POSE_LOG_HEADER, *rows]) + "\n"
+        expected = outcome(per_row_pose_log, text)
+        assert isinstance(expected, tuple) and outcome(parse_pose_log, text) == expected
+
+    def test_rows_are_views_of_the_stack(self):
+        text = POSE_LOG_HEADER + "\n0,S,EE,1,0,0,0,1,2,3\n1.5,OT,Tool,0,1,0,0,4,5,6\n"
+        log = parse_pose_log(text)
+        assert len(log) == 2 and log.rows_of(FrameId.OT, FrameId.TOOL).tolist() == [1]
+        row = log[1]
+        assert (row.timestamp, row.source, row.target) == (1.5, FrameId.OT, FrameId.TOOL)
+        assert row.translation.tolist() == [4.0, 5.0, 6.0]
+        rotations, translations = log.poses([0, 1])
+        assert_transforms_close(RigidTransform(rotations[1], translations[1]), row.transform)
 
 
 class TestTrajectoryLog:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_transforms_close, random_rigid
+from conftest import assert_transforms_close, peak_traced_bytes, random_rigid, stack, unstack
 from cutcal.errors import DegenerateConfiguration, InconsistentSamples
 from cutcal.geometry import (
     RigidTransform,
@@ -17,7 +17,6 @@ from cutcal.pointcal import (
     PivotDataset,
     PivotSolution,
     TipCalDataset,
-    TipCalSample,
     calibrate_pivot,
     calibrate_tip_in_ee,
     pivot_residuals,
@@ -52,7 +51,7 @@ class TestCalibratePivot:
     def test_identical_poses_degenerate(self, rng):
         pose = random_rigid(rng)
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset((pose, pose, pose, pose)))
+            calibrate_pivot(PivotDataset(*stack([pose] * 4)))
 
     def test_single_axis_pivot_degenerate(self, rng):
         # rotations about one line through the divot leave the tip's
@@ -64,11 +63,11 @@ class TestCalibratePivot:
             r = rotation_about_axis([0.0, 1.0, 0.0], math.radians(15.0 * k))
             poses.append(RigidTransform(r, divot - r @ tip))
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(tuple(poses)))
+            calibrate_pivot(PivotDataset(*stack(poses)))
 
     def test_too_few_poses(self, rng):
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset((random_rigid(rng), random_rigid(rng))))
+            calibrate_pivot(PivotDataset(*stack([random_rigid(rng), random_rigid(rng)])))
 
     def test_noisy_monte_carlo_tip_error(self):
         gt = fixed_tip_rig(3)
@@ -91,7 +90,7 @@ class TestCalibratePivot:
                     + pose.translation
                     - solution.divot_in_tracker
                 )
-                for pose in dataset.poses
+                for pose in unstack(dataset.rotations, dataset.translations)
             ]
         )
         assert abs(solution.rms_residual_mm - math.sqrt(np.mean(per_pose**2))) < 1e-12
@@ -102,7 +101,8 @@ class TestCalibratePivot:
             gt, 20, math.radians(30), NoiseModel(tracker_trans_sigma_mm=0.05), seed=7
         )
         g = random_rigid(rng)
-        moved = PivotDataset(tuple(compose(g, p) for p in dataset.poses))
+        poses = unstack(dataset.rotations, dataset.translations)
+        moved = PivotDataset(*stack([compose(g, p) for p in poses]))
         original = calibrate_pivot(dataset)
         reexpressed = calibrate_pivot(moved)
         np.testing.assert_allclose(reexpressed.tip_in_tool, original.tip_in_tool, atol=1e-8)
@@ -114,14 +114,31 @@ class TestCalibratePivot:
         assert abs(reexpressed.rms_residual_mm - original.rms_residual_mm) < 1e-9
 
 
+    def test_low_spread_message_reports_the_largest_angle(self):
+        # every pose within 5 deg of the first: the spread scan runs to the end
+        base = random_rotation(np.random.default_rng(8))
+        angles = [0.0, 2.0, 5.0, 3.0, 4.0]
+        poses = [
+            RigidTransform(base @ rotation_about_axis([0.0, 0.0, 1.0], math.radians(a)), [0, 0, a])
+            for a in angles
+        ]
+        with pytest.raises(DegenerateConfiguration, match="rotation spread 5.00 deg below 20.0"):
+            calibrate_pivot(PivotDataset(*stack(poses)))
+
+    def test_5000_poses_run_in_bounded_memory(self):
+        gt = fixed_tip_rig(9)
+        noise = NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1)
+        dataset = generate_pivot_dataset(gt, 5000, math.radians(30), noise, seed=10)
+        peak = peak_traced_bytes(lambda: calibrate_pivot(dataset))
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
 class TestCalibrateTipInEe:
     def test_single_sample_identity_chain(self, rng):
         identity = RigidTransform.identity()
         hand_eye = HandEyeSolution(identity, identity, 0.0, 0.0)
         digitizer = random_rigid(rng)
-        dataset = TipCalDataset(
-            (TipCalSample(robot_pose=identity, digitizer_pose=digitizer),), hand_eye
-        )
+        dataset = TipCalDataset(*stack([identity]), *stack([digitizer]), hand_eye)
         assert_transforms_close(calibrate_tip_in_ee(dataset).ee_from_tip, digitizer, atol=1e-12)
 
     def test_noiseless_recovery(self):
@@ -134,15 +151,14 @@ class TestCalibrateTipInEe:
     def test_outlier_trips_threshold(self):
         gt = RigGroundTruth.random(12)
         dataset = generate_tipcal_dataset(gt, 5, seed=13)
-        bad = dataset.samples[2]
-        shifted = TipCalSample(
-            robot_pose=bad.robot_pose,
-            digitizer_pose=RigidTransform(
-                bad.digitizer_pose.rotation, bad.digitizer_pose.translation + [5.0, 0.0, 0.0]
-            ),
-        )
+        shifted = dataset.digitizer_translations.copy()
+        shifted[2] += [5.0, 0.0, 0.0]
         corrupted = TipCalDataset(
-            dataset.samples[:2] + (shifted,) + dataset.samples[3:], dataset.hand_eye
+            dataset.robot_rotations,
+            dataset.robot_translations,
+            dataset.digitizer_rotations,
+            shifted,
+            dataset.hand_eye,
         )
         with pytest.raises(InconsistentSamples):
             calibrate_tip_in_ee(corrupted)
@@ -150,12 +166,13 @@ class TestCalibrateTipInEe:
     def test_chain_roundtrip_returns_digitizer_input(self):
         gt = RigGroundTruth.random(14)
         dataset = generate_tipcal_dataset(gt, 3, seed=15)
-        for sample, tip_pose in zip(dataset.samples, tip_poses_in_ee(dataset)):
+        robots = unstack(dataset.robot_rotations, dataset.robot_translations)
+        digitizers = unstack(dataset.digitizer_rotations, dataset.digitizer_translations)
+        tip_poses = unstack(*tip_poses_in_ee(dataset))
+        for robot, digitizer, tip_pose in zip(robots, digitizers, tip_poses, strict=True):
             # invert the chain: digitizer = tracker_from_base . base_from_ee . ee_from_tip
-            recovered = compose(
-                compose(invert(gt.base_from_tracker), sample.robot_pose), tip_pose
-            )
-            assert_transforms_close(recovered, sample.digitizer_pose, atol=1e-9)
+            recovered = compose(compose(invert(gt.base_from_tracker), robot), tip_pose)
+            assert_transforms_close(recovered, digitizer, atol=1e-9)
 
 
 class TestTipPositionInBase:

@@ -12,9 +12,7 @@ from cutcal.geometry import (
     transform_point,
 )
 from cutcal.handeye import calibrate_hand_eye
-from cutcal.logio import serialize_pose_log, serialize_trajectory_log
-from cutcal.logio import PoseLogRow
-from cutcal.geometry import FrameId
+from cutcal.logio import serialize_trajectory_log
 from cutcal.metrics import PlannedCut, build_report, perpendicular_errors, trajectory_rmse
 from cutcal.planner import PassPolicy, plan_sequence, sample_sequence
 from cutcal.pointcal import calibrate_pivot, calibrate_tip_in_ee
@@ -43,12 +41,14 @@ def plan_mm(target=8.0, speed=3.0) -> PlannedCut:
     )
 
 
-def dataset_fingerprint(dataset) -> str:
-    rows = []
-    for i, s in enumerate(dataset.samples):
-        rows.append(PoseLogRow.from_transform(float(i), FrameId.S, FrameId.EE, s.robot_pose))
-        rows.append(PoseLogRow.from_transform(float(i), FrameId.OT, FrameId.TOOL, s.tracker_pose))
-    return serialize_pose_log(rows)
+def dataset_fingerprint(dataset) -> bytes:
+    stacks = (
+        dataset.robot_rotations,
+        dataset.robot_translations,
+        dataset.tracker_rotations,
+        dataset.tracker_translations,
+    )
+    return b"".join(a.tobytes() for a in stacks)
 
 
 class TestDeterminism:
