@@ -97,8 +97,9 @@ def _pose_pairs(log: PoseLog, first, second) -> tuple[np.ndarray, ...]:
 
 
 # Each command returns the text that main writes to --output (or stdout).
-# The calibrate commands let numpy overflow to inf or nan without a warning:
-# dump_json then rejects the result as a CutcalError.
+# The calibrate, analyze and report commands let numpy overflow to inf or nan
+# without a warning: dump_json or emit_report_table then rejects the result as
+# a CutcalError.
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -169,6 +170,7 @@ def _cmd_calibrate_tip(args) -> str:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_analyze(args) -> str:
     plan_file = parse_plan(_read(args.plan))
     recording = parse_trajectory_log(_read(args.traj))
@@ -194,7 +196,7 @@ def _pose_log(*streams) -> str:
             np.repeat(np.arange(n, dtype=np.float64), len(streams)),
             np.tile([_FRAME_CODE[source] for source, _, _, _ in streams], n),
             np.tile([_FRAME_CODE[target] for _, target, _, _ in streams], n),
-            np.stack([[quat_from_rotation(r) for r in s[2]] for s in streams], axis=1),
+            np.stack([quat_from_rotation(s[2]) for s in streams], axis=1),
             np.stack([s[3] for s in streams], axis=1),
         )
     )
@@ -268,6 +270,7 @@ def _cmd_simulate(args) -> str:
     return text
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_report(args) -> str:
     reports = []
     for path in args.input:

@@ -351,30 +351,42 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotation(r: Rotation3) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) from a rotation matrix (Shepperd)."""
+    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix, or (N, 4)
+    of an (N, 3, 3) stack (Shepperd: each matrix takes the branch of the
+    largest of its trace and diagonal entries)."""
     r = np.asarray(r, dtype=np.float64)
-    tr = np.trace(r)
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif r[1, 1] > r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    q = q / np.linalg.norm(q)
-    if q[0] < 0:  # canonical sign
-        q = -q
-    return q
+    shape = r.shape[:-2]
+    # t[i, j] holds entry (i, j) of every matrix in the flattened stack
+    t = np.moveaxis(r.reshape(-1, 3, 3), 0, -1)
+    tr = t[0, 0] + t[1, 1] + t[2, 2]
+    branch = np.select(
+        [tr > 0, (t[0, 0] > t[1, 1]) & (t[0, 0] > t[2, 2]), t[1, 1] > t[2, 2]], [0, 1, 2], 3
+    )
+    # 4 w^2, 4 x^2, 4 y^2, 4 z^2, each summed in the order of Shepperd's branch
+    radicands = np.array(
+        [
+            tr + 1.0,
+            1.0 + t[0, 0] - t[1, 1] - t[2, 2],
+            1.0 + t[1, 1] - t[0, 0] - t[2, 2],
+            1.0 + t[2, 2] - t[0, 0] - t[1, 1],
+        ]
+    )
+    k = np.arange(len(branch))
+    s = np.sqrt(radicands[branch, k]) * 2.0
+    # row b holds 4 q_b q_j for j != b: the numerators of branch b
+    w_x, w_y, w_z = t[2, 1] - t[1, 2], t[0, 2] - t[2, 0], t[1, 0] - t[0, 1]
+    x_y, x_z, y_z = t[0, 1] + t[1, 0], t[0, 2] + t[2, 0], t[1, 2] + t[2, 1]
+    zero = np.zeros_like(tr)
+    numerators = np.array(
+        [
+            [zero, w_x, w_y, w_z],
+            [w_x, zero, x_y, x_z],
+            [w_y, x_y, zero, y_z],
+            [w_z, x_z, y_z, zero],
+        ]
+    )
+    q = numerators[branch, :, k] / s[:, None]
+    q[k, branch] = 0.25 * s
+    q /= _norms(q)[:, None]
+    q[q[:, 0] < 0] *= -1.0  # canonical sign
+    return q.reshape(shape + (4,))

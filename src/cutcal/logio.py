@@ -22,7 +22,6 @@ import numpy as np
 from .errors import CutcalError, FrameError, InvalidPolicy, NonMonotoneTime, ParseError
 from .geometry import (
     FrameId,
-    RigidTransform,
     _freeze,
     _norms,
     orthonormalize,
@@ -54,34 +53,6 @@ _FRAME_LABELS = np.array([f.value for f in _FRAMES])
 _POSE_NUMBER_NAMES = ("quaternion component",) * 4 + ("translation component",) * 3
 
 
-@dataclass(frozen=True)
-class PoseLogRow:
-    """One row of a pose log; ``PoseLog[i]`` gives row i in this form."""
-
-    timestamp: float
-    source: FrameId
-    target: FrameId
-    quat_wxyz: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, 4, "quat_wxyz")
-        _freeze(self, 3, "translation")
-
-    @property
-    def transform(self) -> RigidTransform:
-        return RigidTransform.from_quat_wxyz(self.quat_wxyz, self.translation)
-
-    @classmethod
-    def from_transform(
-        cls, timestamp: float, source: FrameId, target: FrameId, t: RigidTransform
-    ) -> PoseLogRow:
-        return cls(timestamp, source, target, t.quat_wxyz(), t.translation)
-
-
-_POSE_LOG_COLUMNS = ("timestamps", "sources", "targets", "quats_wxyz", "translations")
-
-
 @dataclass(frozen=True, eq=False)
 class PoseLog:
     """A pose log held as column stacks, row i of the file at index i.
@@ -101,42 +72,11 @@ class PoseLog:
         _freeze(self, -1, "sources", "targets", dtype=np.int8)
         _freeze(self, (-1, 4), "quats_wxyz")
         _freeze(self, (-1, 3), "translations")
-        if len({len(getattr(self, name)) for name in _POSE_LOG_COLUMNS}) != 1:
+        if len({len(column) for column in vars(self).values()}) != 1:
             raise ValueError("pose-log columns differ in length")
-
-    @classmethod
-    def from_rows(cls, rows) -> PoseLog:
-        rows = list(rows)
-        return cls(
-            np.array([r.timestamp for r in rows], dtype=np.float64),
-            np.array([_FRAME_CODE[r.source] for r in rows], dtype=np.int8),
-            np.array([_FRAME_CODE[r.target] for r in rows], dtype=np.int8),
-            np.array([r.quat_wxyz for r in rows], dtype=np.float64),
-            np.array([r.translation for r in rows], dtype=np.float64),
-        )
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> PoseLogRow:
-        return PoseLogRow(
-            float(self.timestamps[i]),
-            _FRAMES[self.sources[i]],
-            _FRAMES[self.targets[i]],
-            self.quats_wxyz[i],
-            self.translations[i],
-        )
-
-    def __eq__(self, other) -> bool:
-        """Equal to a pose log or a sequence of rows holding the same values."""
-        if not isinstance(other, PoseLog):
-            if not isinstance(other, (list, tuple)):
-                return NotImplemented
-            other = PoseLog.from_rows(other)
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in _POSE_LOG_COLUMNS
-        )
 
     def rows_of(self, source: FrameId, target: FrameId) -> np.ndarray:
         """Indices of the (source, target) rows, in file order."""
@@ -270,9 +210,8 @@ def parse_pose_log(data: str | bytes) -> PoseLog:
     )
 
 
-def serialize_pose_log(rows) -> str:
-    """Pose-log text of a PoseLog, or of a sequence of PoseLogRow."""
-    log = rows if isinstance(rows, PoseLog) else PoseLog.from_rows(rows)
+def serialize_pose_log(log: PoseLog) -> str:
+    """Pose-log text of a PoseLog."""
     columns = (
         log.timestamps,
         _FRAME_LABELS[log.sources],

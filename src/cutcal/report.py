@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyInput, ParseError
+from .errors import CutcalError, EmptyInput, ParseError
 from .logio import _number, dump_json, load_json
 from .metrics import CutProfile, MetricsReport, TrialLabel
 
@@ -57,8 +57,19 @@ def summarize_sets(reports: list[MetricsReport]) -> list[dict]:
 
 
 def emit_report_table(reports: list[MetricsReport], format: str = "text") -> str:
-    """Render the aggregate table; format is 'text', 'csv' or 'json'."""
+    """Render the aggregate table; format is 'text', 'csv' or 'json'.
+
+    Raises:
+        CutcalError: an aggregate is NaN or infinite (a sum overflowed), which
+            no format may carry.
+    """
     rows = summarize_sets(reports)
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CutcalError(
+                    f"output holds a non-finite number: {key} of set {row['set']} is {value!r}"
+                )
     if format == "json":
         return dump_json(rows)
     if format == "csv":

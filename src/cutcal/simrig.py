@@ -137,10 +137,13 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return rotation_from_quat(rng.normal(size=4))
 
 
-def _perturb(rotations, translations, rot_sigma_rad: float, trans_sigma_mm: float, rng):
-    """perturb_transform on stacked poses; each pose draws what one call would."""
-    sigmas = [sigma for sigma in (rot_sigma_rad, trans_sigma_mm) if sigma > 0]
-    draws = rng.standard_normal((len(rotations), len(sigmas), 3)) * np.reshape(sigmas, (-1, 1))
+def _perturb(rotations, translations, sigmas, normals):
+    """Tangent-space noise on stacked poses: right-multiplied rotation wobble,
+    additive translation. ``sigmas`` is (rotation rad, translation mm), and
+    ``normals`` (N, k, 3) holds one row of standard normals per positive
+    sigma, rotation first (see _normals)."""
+    rot_sigma_rad, trans_sigma_mm = sigmas
+    draws = normals * np.reshape([sigma for sigma in sigmas if sigma > 0], (-1, 1))
     if rot_sigma_rad > 0:
         wobble = draws[:, 0]
         rotations = rotations @ rotation_about_axis(wobble, _norms(wobble))
@@ -149,17 +152,9 @@ def _perturb(rotations, translations, rot_sigma_rad: float, trans_sigma_mm: floa
     return rotations, translations
 
 
-def perturb_transform(
-    t: RigidTransform, rot_sigma_rad: float, trans_sigma_mm: float, rng: np.random.Generator
-) -> RigidTransform:
-    """Tangent-space noise: right-multiplied rotation wobble, additive translation."""
-    r, trans = _perturb(t.rotation[None], t.translation[None], rot_sigma_rad, trans_sigma_mm, rng)
-    return RigidTransform(r[0], trans[0])
-
-
-def _stacked(poses: list[RigidTransform]) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N, 3, 3) and translations (N, 3) of the generated poses."""
-    return np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+def _normals(rng: np.random.Generator, sigmas, *n: int):
+    """The standard normals _perturb takes for ``n`` poses, (*n, k, 3)."""
+    return rng.standard_normal((*n, sum(sigma > 0 for sigma in sigmas), 3))
 
 
 def _diverse_rotations(
@@ -189,6 +184,17 @@ def _diverse_rotations(
     return rotations
 
 
+def _chain(a, b):
+    """compose on (rotations, translations) pairs, each one pose or a stack;
+    every pose of the result equals compose of the matching single poses."""
+    (ra, ta), (rb, tb) = a, b
+    return ra @ rb, (ra @ tb[..., None])[..., 0] + ta
+
+
+def _pose(t: RigidTransform):
+    return t.rotation, t.translation
+
+
 def generate_handeye_dataset(
     gt: RigGroundTruth,
     n: int,
@@ -207,22 +213,20 @@ def generate_handeye_dataset(
     if n < 3:
         raise ValueError("hand-eye generation needs n >= 3 stations")
     rng = np.random.default_rng(seed)
-    tracker_from_base = invert(gt.base_from_tracker)
-    rotations = _diverse_rotations(rng, n, min_rel_angle, min_axis_sep)
-    center = np.asarray(workspace_center, dtype=np.float64)
-    robots, trackers = [], []
-    for r in rotations:
-        robot = RigidTransform(r, center + rng.uniform(-0.5, 0.5, 3) * workspace_extent_mm)
-        tracker = compose(compose(tracker_from_base, robot), gt.ee_from_tool)
-        robots.append(
-            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
-        )
-        trackers.append(
-            perturb_transform(
-                tracker, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
-            )
-        )
-    return HandEyeDataset(*_stacked(robots), *_stacked(trackers))
+    rotations = np.array(_diverse_rotations(rng, n, min_rel_angle, min_axis_sep))
+    robot_sigmas = (noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm)
+    tracker_sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
+    # station by station: the offset, the robot noise, the tracker noise
+    offsets, robot_normals, tracker_normals = map(np.array, zip(*[
+        (rng.uniform(-0.5, 0.5, 3), _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas))
+        for _ in range(n)
+    ]))
+    robot = rotations, np.asarray(workspace_center) + offsets * workspace_extent_mm
+    tracker = _chain(_chain(_pose(invert(gt.base_from_tracker)), robot), _pose(gt.ee_from_tool))
+    return HandEyeDataset(
+        *_perturb(*robot, robot_sigmas, robot_normals),
+        *_perturb(*tracker, tracker_sigmas, tracker_normals),
+    )
 
 
 def generate_pivot_dataset(
@@ -239,16 +243,15 @@ def generate_pivot_dataset(
         raise ValueError("cone half-angle must be non-negative")
     rng = np.random.default_rng(seed)
     nominal = random_rotation(rng)
-    poses = []
-    for _ in range(n):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        r = nominal @ rotation_about_axis(axis, cone_half_angle_rad * rng.uniform(0.0, 1.0))
-        exact = RigidTransform(r, gt.divot_in_tracker - r @ gt.tip_in_tool)
-        poses.append(
-            perturb_transform(exact, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng)
-        )
-    return PivotDataset(*_stacked(poses))
+    sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
+    # pose by pose: the axis, the fraction of the cone, the noise
+    axes, fractions, normals = map(np.array, zip(*[
+        (rng.normal(size=3), rng.uniform(0.0, 1.0), _normals(rng, sigmas)) for _ in range(n)
+    ]))
+    axes /= _norms(axes)[:, None]
+    r = nominal @ rotation_about_axis(axes, cone_half_angle_rad * fractions)
+    translations = gt.divot_in_tracker - (r @ gt.tip_in_tool[:, None])[..., 0]
+    return PivotDataset(*_perturb(r, translations, sigmas, normals))
 
 
 def generate_tipcal_dataset(
@@ -262,26 +265,25 @@ def generate_tipcal_dataset(
     if n < 1:
         raise ValueError("tip calibration generation needs n >= 1 samples")
     rng = np.random.default_rng(seed)
-    tracker_from_base = invert(gt.base_from_tracker)
     # true tip pose in the EE frame: marker-body pose chained with the tip offset
     ee_from_tip = compose(
         gt.ee_from_tool, RigidTransform(np.eye(3), gt.tip_in_tool)
     )
-    robots, digitizers = [], []
-    for _ in range(n):
-        robot = RigidTransform(
-            random_rotation(rng), np.asarray(workspace_center) + rng.uniform(-150.0, 150.0, 3)
-        )
-        digitizer = compose(compose(tracker_from_base, robot), ee_from_tip)
-        robots.append(
-            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
-        )
-        digitizers.append(
-            perturb_transform(
-                digitizer, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
-            )
-        )
-    return TipCalDataset(*_stacked(robots), *_stacked(digitizers), gt.hand_eye_solution())
+    robot_sigmas = (noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm)
+    tracker_sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
+    # sample by sample: the orientation, the offset, the robot noise, the tracker noise
+    quats, offsets, robot_normals, tracker_normals = map(np.array, zip(*[
+        (rng.normal(size=4), rng.uniform(-150.0, 150.0, 3),
+         _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas))
+        for _ in range(n)
+    ]))
+    robot = rotation_from_quat(quats), np.asarray(workspace_center) + offsets
+    digitizer = _chain(_chain(_pose(invert(gt.base_from_tracker)), robot), _pose(ee_from_tip))
+    return TipCalDataset(
+        *_perturb(*robot, robot_sigmas, robot_normals),
+        *_perturb(*digitizer, tracker_sigmas, tracker_normals),
+        gt.hand_eye_solution(),
+    )
 
 
 def synthesize_ruso_trial(
@@ -307,12 +309,12 @@ def synthesize_ruso_trial(
     r_tool = np.column_stack(
         [plan.direction, np.cross(plan.depth_axis, plan.direction), plan.depth_axis]
     )
+    sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
     rotations, translations = _perturb(
         np.broadcast_to(tracker_from_base.rotation @ r_tool, (len(nominal.points), 3, 3)),
         transform_point(tracker_from_base, nominal.points - r_tool @ gt.tip_in_tool),
-        noise.tracker_rot_sigma_rad,
-        noise.tracker_trans_sigma_mm,
-        rng,
+        sigmas,
+        _normals(rng, sigmas, len(nominal.points)),
     )
     points = transform_point(gt.base_from_tracker, rotations @ gt.tip_in_tool + translations)
     return TrajectoryRecording(nominal.timestamps, points, nominal.tool_active)

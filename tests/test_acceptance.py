@@ -47,7 +47,7 @@ from cutcal.simrig import (
     synthesize_ruso_trial,
 )
 
-from test_logio import random_plan_file, random_pose_row, random_recording
+from test_logio import assert_pose_logs_equal, random_plan_file, random_pose_log, random_recording
 from test_report import make_report
 
 
@@ -260,13 +260,8 @@ def test_criterion_8_io_roundtrip_fuzz():
     rng = np.random.default_rng(108)
 
     for _ in range(1000):
-        rows = [random_pose_row(rng, i) for i in range(int(rng.integers(1, 4)))]
-        parsed = parse_pose_log(serialize_pose_log(rows))
-        for a, b in zip(rows, parsed):
-            assert a.timestamp == b.timestamp
-            assert a.source is b.source and a.target is b.target
-            np.testing.assert_array_equal(a.quat_wxyz, b.quat_wxyz)
-            np.testing.assert_array_equal(a.translation, b.translation)
+        log = random_pose_log(rng, int(rng.integers(1, 4)))
+        assert_pose_logs_equal(parse_pose_log(serialize_pose_log(log)), log)
 
     for _ in range(1000):
         rec = random_recording(rng, n=int(rng.integers(2, 12)))

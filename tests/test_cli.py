@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,22 @@ def bad_inputs(tmp_path_factory):
     }
     (d / "plan_nan.json").write_text(json.dumps(plan))
     plan["entry_point"] = [0.0, 0.0, 0.0]
+    (d / "plan.json").write_text(json.dumps(plan))
+    # in-gate lateral errors of +-1e308: their squares overflow
+    (d / "traj_huge.csv").write_text(
+        "timestamp,x,y,z,active\n0.0,1.0,1e308,-1.0,1\n0.1,2.0,-1e308,-1.0,1\n"
+        "0.2,3.0,1e308,-1.0,1\n"
+    )
+    # two reports of one set whose RMSE sum overflows
+    assert main(["simulate", "ruso", "--plan", str(d / "plan.json"),
+                 "--output", str(d / "ruso.csv")]) == 0
+    assert main(["analyze", "--traj", str(d / "ruso.csv"), "--plan", str(d / "plan.json"),
+                 "--label", "R1.1", "--output", str(d / "report.json")]) == 0
+    report = json.loads((d / "report.json").read_text())
+    for k in (1, 2):
+        (d / f"report_huge{k}.json").write_text(
+            json.dumps({**report, "trial_label": f"R1.{k}", "rmse_mm": 1.7e308})
+        )
     (d / "plan_huge_int.json").write_text(json.dumps({**plan, "length_mm": 10**400}))
     (d / "plan_long_int.json").write_text(json.dumps(plan).replace("10.0", "1" * 5000))
     (d / "plan_huge_k.json").write_text(json.dumps({**plan, "analysis": {"K": 10**13}}))
@@ -262,6 +279,12 @@ CLI_ERROR_CASES = [
     pytest.param("calibrate-handeye --input {d}/he_tracker_still.csv", 1,
                  "DegenerateConfiguration", "tracker side of the one motion does not rotate",
                  id="handeye-tracker-no-rotation"),
+    pytest.param("analyze --traj {d}/traj_huge.csv --plan {d}/plan.json --format text", 1,
+                 "CutcalError", "non-finite number: rmse_mm_mean", id="analyze-text-overflow"),
+    pytest.param("analyze --traj {d}/traj_huge.csv --plan {d}/plan.json --format csv", 1,
+                 "CutcalError", "non-finite number: rmse_mm_mean", id="analyze-csv-overflow"),
+    pytest.param("report --input {d}/report_huge1.json {d}/report_huge2.json --format text", 1,
+                 "CutcalError", "non-finite number: rmse_mm_mean", id="report-text-overflow"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",
@@ -293,6 +316,71 @@ def test_bad_input_or_flag_exits_without_traceback(bad_inputs, capsys, argv, cod
         assert err.startswith("usage: cutcal") and fragment in err
     else:
         assert main(args) == 1
-        diagnostic = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")  # one JSON line, no warning
+        diagnostic = json.loads(err)
         assert diagnostic["error"] == error
         assert fragment in diagnostic["message"]
+
+
+# a number JSON, repr or a format spec writes for NaN or an infinity
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(nan|inf|NaN|Infinity)(?!\w)")
+# bytes a mutation writes: half of them from the syntax of the inputs
+SYNTAX_BYTES = b"0123456789-+.eE,\n \"[]{}:"
+
+
+def mutated(data: bytes, rng: np.random.Generator) -> bytes:
+    """``data`` after one to three byte edits: overwrite, delete or insert."""
+    b = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(len(b)))
+        byte = int(rng.choice(list(SYNTAX_BYTES)) if rng.random() < 0.5 else rng.integers(256))
+        op = rng.integers(3)
+        if op == 0:
+            b[i] = byte
+        elif op == 1:
+            del b[i]
+        else:
+            b.insert(i, byte)
+    return bytes(b)
+
+
+def test_mutated_inputs_give_a_result_or_a_diagnostic(bad_inputs, tmp_path, capsys):
+    """Byte-mutated copies of every input file, through every command that
+    reads them: exit 0 with only finite numbers out, 1 with one JSON line on
+    stderr, or 2; nothing escapes main."""
+    d, m = bad_inputs, tmp_path / "mutated"
+    commands = {
+        "he.csv": ["calibrate-handeye --input {m}",
+                   "calibrate-handeye --pairing all_pairs --input {m}"],
+        "pivot.csv": ["calibrate-pivot --input {m}"],
+        "tip.csv": ["calibrate-tip --input {m} --handeye {d}/he.json"],
+        "he.json": ["calibrate-tip --input {d}/tip.csv --handeye {m}"],
+        "ruso.csv": [f"analyze --traj {{m}} --plan {{d}}/plan.json --format {f}"
+                     for f in ("json", "text", "csv")],
+        "plan.json": [f"analyze --traj {{d}}/ruso.csv --plan {{m}} --format {f}"
+                      for f in ("json", "text", "csv")]
+                     + ["simulate ruso --rate 1 --plan {m}", "simulate muso --rate 1 --plan {m}"],
+        "report.json": [f"report --input {{m}} --format {f}" for f in ("text", "csv", "json")],
+    }
+    rng = np.random.default_rng(2024)
+    for name, argvs in commands.items():
+        original = (d / name).read_bytes()
+        for _ in range(40):
+            data = mutated(original, rng)
+            m.write_bytes(data)
+            for argv in argvs:
+                args = argv.format(d=d, m=m).split()
+                where = f"{argv} on {name} mutated to {data!r}"
+                try:
+                    code = main(args)
+                except SystemExit as e:
+                    code = e.code
+                except Exception as e:  # noqa: BLE001 - any escape is the failure
+                    raise AssertionError(where) from e
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), where
+                if code == 0:
+                    assert not NON_FINITE.search(out), where
+                if code == 1:
+                    assert err.count("\n") == 1 and "error" in json.loads(err), where

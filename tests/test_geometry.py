@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_transforms_close, random_rigid
@@ -16,6 +17,7 @@ from cutcal.geometry import (
     lines_spread_at_least,
     _check_rotation,
     orthonormalize,
+    quat_from_rotation,
     rotation_about_axis,
     rotation_angle,
     rotation_angle_between,
@@ -24,7 +26,7 @@ from cutcal.geometry import (
     transform_point,
 )
 from cutcal.handeye import HandEyeDataset
-from cutcal.logio import PoseLog, PoseLogRow
+from cutcal.logio import PoseLog
 from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
 from cutcal.planner import Segment
 from cutcal.pointcal import PivotDataset, PivotSolution
@@ -264,8 +266,6 @@ def test_line_spread_treats_opposite_directions_as_one_line():
 def _value_types():
     plan = PlannedCut([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0], 10.0, 2.0, 1.0)
     return [
-        (PoseLogRow(0.0, FrameId.S, FrameId.EE, [1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),
-         ("quat_wxyz", "translation")),
         (PoseLog([0.0], [0], [1], [[1.0, 0.0, 0.0, 0.0]], [[1.0, 2.0, 3.0]]),
          ("timestamps", "sources", "targets", "quats_wxyz", "translations")),
         (HandEyeDataset(np.eye(3)[None], np.zeros((1, 3)), np.eye(3)[None], np.ones((1, 3))),
@@ -334,6 +334,35 @@ def rotation_from_one_quat(quat) -> np.ndarray:
     )
 
 
+def quat_per_matrix(r) -> np.ndarray:
+    """Shepperd's quaternion of one rotation, branch by branch (the reference)."""
+    tr = np.trace(r)
+    if tr > 0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
+        )
+    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
+        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = np.array(
+            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
+        )
+    elif r[1, 1] > r[2, 2]:
+        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
+        q = np.array(
+            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
+        )
+    else:
+        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
+        q = np.array(
+            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
+        )
+    q = q / np.linalg.norm(q)
+    if q[0] < 0:  # canonical sign
+        q = -q
+    return q
+
+
 def max_line_angle(unit_directions) -> float:
     """Largest angle between any two lines, from the full cosine matrix (the reference)."""
     d = np.asarray(unit_directions, dtype=np.float64)
@@ -363,6 +392,30 @@ angles = st.one_of(
 )
 
 
+# proper signed permutation matrices: exact ties between diagonal entries
+SIGNED_PERMUTATIONS = [
+    p * np.array(signs)
+    for p in np.eye(3)[list(itertools.permutations(range(3)))]
+    for signs in itertools.product([1.0, -1.0], repeat=3)
+    if np.linalg.det(p * np.array(signs)) > 0
+]
+rotations = st.one_of(
+    st.tuples(axes, angles).map(lambda m: rotation_about_axis(*m)),
+    st.sampled_from(SIGNED_PERMUTATIONS),
+)
+# one matrix per Shepperd branch (trace, then r00, r11, r22 largest), then
+# ties: r00 = r11, r00 = r22, all three with trace 0
+SHEPPERD_BRANCHES = [
+    np.eye(3),
+    np.diag([1.0, -1.0, -1.0]),
+    np.diag([-1.0, 1.0, -1.0]),
+    np.diag([-1.0, -1.0, 1.0]),
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]),
+    np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+]
+
+
 class TestStackedGeometry:
     @PROPERTY
     @given(st.lists(st.tuples(axes, angles), min_size=1, max_size=20))
@@ -387,6 +440,19 @@ class TestStackedGeometry:
         for k in range(len(q)):
             np.testing.assert_array_equal(stacked[k], rotation_from_one_quat(q[k]))
             np.testing.assert_array_equal(rotation_from_quat(q[k]), rotation_from_one_quat(q[k]))
+
+    @PROPERTY
+    @given(st.lists(rotations, min_size=1, max_size=20))
+    @example(SHEPPERD_BRANCHES)
+    def test_stacked_quaternions_equal_the_per_matrix_form(self, matrices):
+        r = np.array(matrices)
+        q = quat_from_rotation(r)
+        assert q.shape == (len(r), 4)
+        for k in range(len(r)):
+            want = quat_per_matrix(r[k]).tobytes()
+            assert q[k].tobytes() == want and quat_from_rotation(r[k]).tobytes() == want
+        assert (q[:, 0] >= 0).all()
+        np.testing.assert_allclose(rotation_from_quat(q), r, rtol=0, atol=1e-12)
 
     @PROPERTY
     @given(

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_transforms_close, random_rigid
+from conftest import assert_transforms_close
 from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
-from cutcal.geometry import FrameId, RigidTransform
+from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation
 from cutcal.logio import (
     _WRITE_CHUNK_ROWS,
     POSE_LOG_HEADER,
@@ -16,7 +16,6 @@ from cutcal.logio import (
     AnalysisOptions,
     PlanFile,
     PoseLog,
-    PoseLogRow,
     parse_plan,
     parse_pose_log,
     parse_trajectory_log,
@@ -29,14 +28,22 @@ from cutcal.planner import PassPolicy
 from cutcal.simrig import random_rotation
 
 
-def random_pose_row(rng, i) -> PoseLogRow:
-    frames = list(FrameId)
-    return PoseLogRow.from_transform(
-        float(i),
-        frames[int(rng.integers(len(frames)))],
-        frames[int(rng.integers(len(frames)))],
-        random_rigid(rng),
+def random_pose_log(rng, n) -> PoseLog:
+    """n rows of random frames and poses, stamped 0, 1, ..."""
+    return PoseLog(
+        np.arange(n, dtype=np.float64),
+        rng.integers(len(FrameId), size=n),
+        rng.integers(len(FrameId), size=n),
+        quat_from_rotation(np.array([random_rotation(rng) for _ in range(n)])),
+        rng.uniform(-100.0, 100.0, (n, 3)),
     )
+
+
+def assert_pose_logs_equal(a: PoseLog, b: PoseLog):
+    """Same rows, bit for bit."""
+    for name in ("timestamps", "sources", "targets", "quats_wxyz", "translations"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def random_recording(rng, n=None) -> TrajectoryRecording:
@@ -81,14 +88,16 @@ def random_plan_file(rng) -> PlanFile:
 
 class TestPoseLog:
     def test_header_only_gives_empty_list(self):
-        assert parse_pose_log(POSE_LOG_HEADER + "\n") == []
+        assert len(parse_pose_log(POSE_LOG_HEADER + "\n")) == 0
 
     def test_identity_quaternion_row(self):
         text = POSE_LOG_HEADER + "\n0.5,S,EE,1,0,0,0,0,0,0\n"
-        rows = parse_pose_log(text)
-        assert len(rows) == 1
-        assert rows[0].source is FrameId.S and rows[0].target is FrameId.EE
-        assert_transforms_close(rows[0].transform, RigidTransform.identity(), atol=1e-12)
+        log = parse_pose_log(text)
+        assert len(log) == 1 and log.rows_of(FrameId.S, FrameId.EE).tolist() == [0]
+        rotations, translations = log.poses([0])
+        assert_transforms_close(
+            RigidTransform(rotations[0], translations[0]), RigidTransform.identity(), atol=1e-12
+        )
 
     def test_quaternion_norm_half_rejected(self):
         text = POSE_LOG_HEADER + "\n0,S,EE,0.5,0,0,0,0,0,0\n"
@@ -99,8 +108,8 @@ class TestPoseLog:
     def test_quaternion_norm_within_window_renormalized(self):
         q = np.array([1.0, 0.0, 0.0, 0.0]) * 1.0005
         text = POSE_LOG_HEADER + f"\n0,S,EE,{q[0]},{q[1]},{q[2]},{q[3]},1,2,3\n"
-        rows = parse_pose_log(text)
-        assert abs(np.linalg.norm(rows[0].quat_wxyz) - 1.0) < 1e-12
+        log = parse_pose_log(text)
+        assert abs(np.linalg.norm(log.quats_wxyz[0]) - 1.0) < 1e-12
 
     def test_unknown_frame_label(self):
         text = POSE_LOG_HEADER + "\n0,S,Banana,1,0,0,0,0,0,0\n"
@@ -138,35 +147,53 @@ class TestPoseLog:
         assert exc.value.line == 1
 
     def test_bytes_input_accepted(self):
-        rows = parse_pose_log((POSE_LOG_HEADER + "\n").encode())
-        assert rows == []
+        assert len(parse_pose_log((POSE_LOG_HEADER + "\n").encode())) == 0
 
     def test_serialize_parse_roundtrip_fuzz(self, rng):
         for _ in range(300):
-            rows = [random_pose_row(rng, i) for i in range(int(rng.integers(1, 6)))]
-            parsed = parse_pose_log(serialize_pose_log(rows))
-            assert len(parsed) == len(rows)
-            for a, b in zip(rows, parsed):
-                assert a.timestamp == b.timestamp
-                assert a.source is b.source and a.target is b.target
-                np.testing.assert_array_equal(a.quat_wxyz, b.quat_wxyz)
-                np.testing.assert_array_equal(a.translation, b.translation)
+            log = random_pose_log(rng, int(rng.integers(1, 6)))
+            assert_pose_logs_equal(parse_pose_log(serialize_pose_log(log)), log)
 
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 
 
+# A pose-log row as the references below write and read it:
+# (timestamp, source FrameId, target FrameId, quaternion (4,), translation (3,)).
+
+
+def pose_log_of(rows) -> PoseLog:
+    frames = list(FrameId)
+    return PoseLog(
+        np.array([r[0] for r in rows], dtype=np.float64),
+        np.array([frames.index(r[1]) for r in rows]),
+        np.array([frames.index(r[2]) for r in rows]),
+        np.array([r[3] for r in rows], dtype=np.float64),
+        np.array([r[4] for r in rows], dtype=np.float64),
+    )
+
+
+def rows_of_log(log: PoseLog) -> list[tuple]:
+    frames = list(FrameId)
+    return [
+        (t, frames[s], frames[g], q, p)
+        for t, s, g, q, p in zip(
+            log.timestamps.tolist(), log.sources, log.targets, log.quats_wxyz, log.translations
+        )
+    ]
+
+
 def row_by_row_pose_log(rows) -> str:
     """The pose-log writer as a per-row f-string loop (the reference)."""
     out = [POSE_LOG_HEADER]
-    for r in rows:
-        q = ",".join(repr(float(v)) for v in r.quat_wxyz)
-        t = ",".join(repr(float(v)) for v in r.translation)
-        out.append(f"{float(r.timestamp)!r},{r.source},{r.target},{q},{t}")
+    for timestamp, source, target, quat, translation in rows:
+        q = ",".join(repr(float(v)) for v in quat)
+        t = ",".join(repr(float(v)) for v in translation)
+        out.append(f"{float(timestamp)!r},{source},{target},{q},{t}")
     return "\n".join(out) + "\n"
 
 
-def per_row_pose_log(text: str) -> list[PoseLogRow]:
+def per_row_pose_log(text: str) -> list[tuple]:
     """The pose-log parser one row at a time, every check in file order (the reference)."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != POSE_LOG_HEADER:
@@ -208,7 +235,7 @@ def per_row_pose_log(text: str) -> list[PoseLogRow]:
             raise ParseError(f"quaternion norm {norm:.6g} outside (0.999, 1.001)", lineno)
         if abs(norm - 1.0) > 1e-12:
             quat = quat / norm
-        rows.append(PoseLogRow(timestamp, source, target, quat, trans))
+        rows.append((timestamp, source, target, quat, trans))
     return rows
 
 
@@ -218,10 +245,9 @@ def outcome(parse, text):
         rows = parse(text)
     except CutcalError as e:
         return type(e), getattr(e, "line", None), str(e)
-    return [
-        (r.timestamp, r.source, r.target, r.quat_wxyz.tobytes(), r.translation.tobytes())
-        for r in rows
-    ]
+    if isinstance(rows, PoseLog):
+        rows = rows_of_log(rows)
+    return [(t, s, g, q.tobytes(), p.tobytes()) for t, s, g, q, p in rows]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -242,8 +268,7 @@ def pose_rows(min_size=0):
         unique_by=lambda row: row[:3],
     ).map(
         lambda rows: [
-            PoseLogRow(t, s, g, np.array(q) / np.linalg.norm(q), np.array(p))
-            for t, s, g, q, p in rows
+            (t, s, g, np.array(q) / np.linalg.norm(q), np.array(p)) for t, s, g, q, p in rows
         ]
     )
 
@@ -257,12 +282,11 @@ class TestStackedPoseLog:
     @given(pose_rows())
     def test_serialize_parse_is_exact_and_matches_the_row_writer(self, rows):
         text = row_by_row_pose_log(rows)
-        log = PoseLog.from_rows(rows)
-        assert serialize_pose_log(log) == serialize_pose_log(rows) == text
+        log = pose_log_of(rows)
+        assert serialize_pose_log(log) == text
         parsed = parse_pose_log(text)
-        assert len(parsed) == len(rows) and parsed == rows
-        for name in ("timestamps", "quats_wxyz", "translations"):
-            assert getattr(parsed, name).tobytes() == getattr(log, name).tobytes()
+        assert len(parsed) == len(rows)
+        assert_pose_logs_equal(parsed, log)
         assert serialize_pose_log(parsed) == text
 
     @PROPERTY
@@ -306,11 +330,14 @@ class TestStackedPoseLog:
         text = POSE_LOG_HEADER + "\n0,S,EE,1,0,0,0,1,2,3\n1.5,OT,Tool,0,1,0,0,4,5,6\n"
         log = parse_pose_log(text)
         assert len(log) == 2 and log.rows_of(FrameId.OT, FrameId.TOOL).tolist() == [1]
-        row = log[1]
-        assert (row.timestamp, row.source, row.target) == (1.5, FrameId.OT, FrameId.TOOL)
-        assert row.translation.tolist() == [4.0, 5.0, 6.0]
+        timestamp, source, target, quat, translation = rows_of_log(log)[1]
+        assert (timestamp, source, target) == (1.5, FrameId.OT, FrameId.TOOL)
+        assert translation.tolist() == [4.0, 5.0, 6.0]
         rotations, translations = log.poses([0, 1])
-        assert_transforms_close(RigidTransform(rotations[1], translations[1]), row.transform)
+        assert_transforms_close(
+            RigidTransform(rotations[1], translations[1]),
+            RigidTransform.from_quat_wxyz(quat, translation),
+        )
 
 
 class TestTrajectoryLog:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cutcal.errors import DegenerateConfiguration
+from conftest import stack
 from cutcal.geometry import (
     RigidTransform,
     compose,
     invert,
+    rotation_about_axis,
     rotation_angle_between,
     transform_point,
 )
@@ -23,8 +25,9 @@ from cutcal.simrig import (
     generate_handeye_dataset,
     generate_pivot_dataset,
     generate_tipcal_dataset,
-    perturb_transform,
+    random_rotation,
     _ar1,
+    _diverse_rotations,
     synthesize_muso_trial,
     synthesize_ruso_trial,
 )
@@ -39,6 +42,115 @@ def plan_mm(target=8.0, speed=3.0) -> PlannedCut:
         target_depth_mm=target,
         cutting_speed_mm_s=speed,
     )
+
+
+# References for the stacked generators: one RigidTransform per pose, drawn
+# and composed pose by pose.
+def perturb_transform(
+    t: RigidTransform, rot_sigma_rad: float, trans_sigma_mm: float, rng: np.random.Generator
+) -> RigidTransform:
+    """Tangent-space noise on one pose: right-multiplied rotation wobble,
+    additive translation."""
+    sigmas = [sigma for sigma in (rot_sigma_rad, trans_sigma_mm) if sigma > 0]
+    draws = rng.standard_normal((len(sigmas), 3)) * np.reshape(sigmas, (-1, 1))
+    rotation, translation = t.rotation, t.translation
+    if rot_sigma_rad > 0:
+        rotation = rotation @ rotation_about_axis(draws[0], np.linalg.norm(draws[0]))
+    if trans_sigma_mm > 0:
+        translation = translation + draws[-1]
+    return RigidTransform(rotation, translation)
+
+
+def per_pose_handeye(gt, n, noise, seed):
+    rng = np.random.default_rng(seed)
+    tracker_from_base = invert(gt.base_from_tracker)
+    rotations = _diverse_rotations(rng, n, math.radians(20.0), math.radians(20.0))
+    robots, trackers = [], []
+    for r in rotations:
+        robot = RigidTransform(r, np.array([600.0, 0.0, 500.0]) + rng.uniform(-0.5, 0.5, 3) * 300.0)
+        tracker = compose(compose(tracker_from_base, robot), gt.ee_from_tool)
+        robots.append(
+            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
+        )
+        trackers.append(
+            perturb_transform(
+                tracker, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
+            )
+        )
+    return (*stack(robots), *stack(trackers))
+
+
+def per_pose_pivot(gt, n, cone_half_angle_rad, noise, seed):
+    rng = np.random.default_rng(seed)
+    nominal = random_rotation(rng)
+    poses = []
+    for _ in range(n):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        r = nominal @ rotation_about_axis(axis, cone_half_angle_rad * rng.uniform(0.0, 1.0))
+        exact = RigidTransform(r, gt.divot_in_tracker - r @ gt.tip_in_tool)
+        poses.append(
+            perturb_transform(exact, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng)
+        )
+    return stack(poses)
+
+
+def per_pose_tipcal(gt, n, noise, seed):
+    rng = np.random.default_rng(seed)
+    tracker_from_base = invert(gt.base_from_tracker)
+    ee_from_tip = compose(gt.ee_from_tool, RigidTransform(np.eye(3), gt.tip_in_tool))
+    robots, digitizers = [], []
+    for _ in range(n):
+        robot = RigidTransform(
+            random_rotation(rng), np.array([600.0, 0.0, 500.0]) + rng.uniform(-150.0, 150.0, 3)
+        )
+        digitizer = compose(compose(tracker_from_base, robot), ee_from_tip)
+        robots.append(
+            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
+        )
+        digitizers.append(
+            perturb_transform(
+                digitizer, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
+            )
+        )
+    return (*stack(robots), *stack(digitizers))
+
+
+NOISES = {
+    "none": NoiseModel(),
+    "tracker": NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1),
+    "robot+tracker": NoiseModel(
+        tracker_rot_sigma_rad=math.radians(0.05),
+        tracker_trans_sigma_mm=0.1,
+        robot_rot_sigma_rad=math.radians(0.02),
+        robot_trans_sigma_mm=0.05,
+    ),
+}
+
+
+@pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES.keys())
+@pytest.mark.parametrize(
+    "kind, n",
+    [("handeye", 3), ("handeye", 40), ("pivot", 3), ("pivot", 200), ("tipcal", 1), ("tipcal", 30)],
+)
+def test_stacked_generator_equals_the_per_pose_loop(kind, n, noise):
+    for seed in (0, 1):
+        gt = RigGroundTruth.random(seed + 50)
+        if kind == "handeye":
+            ds = generate_handeye_dataset(gt, n, noise, seed=seed)
+            got = (ds.robot_rotations, ds.robot_translations,
+                   ds.tracker_rotations, ds.tracker_translations)
+            want = per_pose_handeye(gt, n, noise, seed)
+        elif kind == "pivot":
+            ds = generate_pivot_dataset(gt, n, math.radians(30.0), noise, seed=seed)
+            got = (ds.rotations, ds.translations)
+            want = per_pose_pivot(gt, n, math.radians(30.0), noise, seed)
+        else:
+            ds = generate_tipcal_dataset(gt, n, noise, seed=seed)
+            got = (ds.robot_rotations, ds.robot_translations,
+                   ds.digitizer_rotations, ds.digitizer_translations)
+            want = per_pose_tipcal(gt, n, noise, seed)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def dataset_fingerprint(dataset) -> bytes:
