@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 data error (machine-readable JSON on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CutcalError, ParseError
-from .geometry import FrameId, RigidTransform, quat_from_rotation
+from .geometry import FrameId, RigidTransform, orthonormalize
 from .handeye import HandEyeDataset, HandEyeSolution, calibrate_hand_eye
 from .logio import (
     _FRAME_CODE,
@@ -76,14 +77,17 @@ def _transform_from_dict(doc: dict, where: str) -> RigidTransform:
         translation = np.asarray(doc["translation_mm"], dtype=np.float64)
         if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
             raise ValueError("rotation and translation_mm must be finite")
-        return RigidTransform(rotation, translation)
+        t = RigidTransform(rotation, translation)
+        # a rotation that only just passes the check can fail it once chained
+        # with other poses; its nearest proper rotation cannot
+        return RigidTransform(orthonormalize(t.rotation), t.translation)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid transform in {where}: {e}") from e
 
 
-def _pose_pairs(log: PoseLog, first, second) -> tuple[np.ndarray, ...]:
-    """Rotations and translations of the ``first`` and of the ``second``
-    stream's rows at the timestamps both streams share, in timestamp order."""
+def _pose_pairs(log: PoseLog, first, second) -> tuple[RigidTransform, RigidTransform]:
+    """Pose stacks of the ``first`` and of the ``second`` stream's rows at the
+    timestamps both streams share, in timestamp order."""
     a, b = log.rows_of(*first), log.rows_of(*second)
     # timestamps are unique within a stream: parse_pose_log rejects duplicates
     _, i, j = np.intersect1d(
@@ -93,7 +97,7 @@ def _pose_pairs(log: PoseLog, first, second) -> tuple[np.ndarray, ...]:
         raise ParseError(
             f"no timestamp-paired ({first[0]},{first[1]}) and ({second[0]},{second[1]}) rows"
         )
-    return (*log.poses(a[i]), *log.poses(b[j]))
+    return log.poses(a[i]), log.poses(b[j])
 
 
 # Each command returns the text that main writes to --output (or stdout).
@@ -129,7 +133,7 @@ def _cmd_calibrate_pivot(args) -> str:
     rows = log.rows_of(FrameId.OT, FrameId.TOOL)
     if not len(rows):
         raise ParseError("no (OT,Tool) rows in pose log")
-    solution = calibrate_pivot(PivotDataset(*log.poses(rows)))
+    solution = calibrate_pivot(PivotDataset(log.poses(rows)))
     return dump_json(
         {
             "tip_in_tool_mm": solution.tip_in_tool.tolist(),
@@ -188,16 +192,16 @@ def _cmd_analyze(args) -> str:
 
 
 def _pose_log(*streams) -> str:
-    """Pose-log text of (source, target, rotations, translations) streams:
-    row i of every stream in turn, stamped float(i)."""
+    """Pose-log text of (source, target, pose stack) streams: row i of every
+    stream in turn, stamped float(i)."""
     n = len(streams[0][2])
     return serialize_pose_log(
         PoseLog(
             np.repeat(np.arange(n, dtype=np.float64), len(streams)),
-            np.tile([_FRAME_CODE[source] for source, _, _, _ in streams], n),
-            np.tile([_FRAME_CODE[target] for _, target, _, _ in streams], n),
-            np.stack([quat_from_rotation(s[2]) for s in streams], axis=1),
-            np.stack([s[3] for s in streams], axis=1),
+            np.tile([_FRAME_CODE[source] for source, _, _ in streams], n),
+            np.tile([_FRAME_CODE[target] for _, target, _ in streams], n),
+            np.stack([poses.quat_wxyz() for _, _, poses in streams], axis=1),
+            np.stack([poses.translation for _, _, poses in streams], axis=1),
         )
     )
 
@@ -241,18 +245,14 @@ def _cmd_simulate(args) -> str:
             noise=noise,
             seed=args.seed,
         )
-        text = _pose_log((FrameId.OT, FrameId.TOOL, dataset.rotations, dataset.translations))
+        text = _pose_log((FrameId.OT, FrameId.TOOL, dataset.poses))
     elif args.kind == "handeye":
         he = generate_handeye_dataset(rig, args.poses, noise=noise, seed=args.seed)
-        text = _pose_log(
-            (FrameId.S, FrameId.EE, he.robot_rotations, he.robot_translations),
-            (FrameId.OT, FrameId.TOOL, he.tracker_rotations, he.tracker_translations),
-        )
+        text = _pose_log((FrameId.S, FrameId.EE, he.robot), (FrameId.OT, FrameId.TOOL, he.tracker))
     else:
         tip = generate_tipcal_dataset(rig, args.poses, noise=noise, seed=args.seed)
         text = _pose_log(
-            (FrameId.S, FrameId.EE, tip.robot_rotations, tip.robot_translations),
-            (FrameId.OT, FrameId.DIGITIZER, tip.digitizer_rotations, tip.digitizer_translations),
+            (FrameId.S, FrameId.EE, tip.robot), (FrameId.OT, FrameId.DIGITIZER, tip.digitizer)
         )
     if args.ground_truth_output:
         _write(
@@ -360,8 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every command of the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.kind in ("handeye", "pivot") and args.poses < 3:
         parser.error(f"simulate {args.kind} needs --poses >= 3")

@@ -9,6 +9,9 @@ Conventions, fixed here and used everywhere:
 - ``compose(a, b)`` chains frames the way 4x4 matrices multiply, right to
   left: ``compose(t_a_from_b, t_b_from_c) == t_a_from_c`` and the result's
   matrix is ``a.matrix @ b.matrix``.
+- A ``RigidTransform`` holds one pose or a stack of N. ``compose``,
+  ``invert`` and ``transform_point`` work row by row on stacks, and one pose
+  broadcasts over a stack.
 - Units are millimeters and radians internally; degrees appear only at the
   CLI surface.
 
@@ -43,8 +46,9 @@ class FrameId(enum.Enum):
 
 
 # Construction-time validation tolerance for rotation matrices. Products of
-# valid rotations stay far inside this bound; external data must be projected
-# with orthonormalize() before constructing a transform.
+# projected rotations stay far inside this bound, but one that only just
+# passes can fail it once chained: external data must be projected with
+# orthonormalize() before it is chained.
 ROTATION_ATOL = 1e-9
 
 Rotation3 = np.ndarray  # (3, 3) proper orthonormal matrix
@@ -56,12 +60,6 @@ _EYE = np.eye(3)
 _CROSS = np.array([np.cross(e, np.eye(3)).T for e in np.eye(3)]).reshape(3, 9)
 
 
-def _as_vector3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64).reshape(3)
-    a.flags.writeable = False
-    return a
-
-
 def _freeze(obj, shape, *names, dtype=np.float64) -> None:
     """Store each named field of a frozen dataclass as a read-only array of
     ``shape``; an input that already is such an array is not copied."""
@@ -69,16 +67,6 @@ def _freeze(obj, shape, *names, dtype=np.float64) -> None:
         a = np.asarray(getattr(obj, name), dtype=dtype).reshape(shape)
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
-
-
-def _freeze_poses(obj, rotations: str, translations: str) -> None:
-    """Freeze one pose set of a dataset: rotations (N, 3, 3), each a proper
-    rotation, and translations (N, 3) of the same length."""
-    _freeze(obj, (-1, 3, 3), rotations)
-    _freeze(obj, (-1, 3), translations)
-    _check_rotation(getattr(obj, rotations))
-    if len(getattr(obj, rotations)) != len(getattr(obj, translations)):
-        raise ValueError(f"{rotations} and {translations} differ in length")
 
 
 def _check_rotation(r: np.ndarray, atol: float = ROTATION_ATOL) -> None:
@@ -97,23 +85,39 @@ def _check_rotation(r: np.ndarray, atol: float = ROTATION_ATOL) -> None:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """An SE(3) pose: proper rotation plus translation in mm.
+    """An SE(3) pose, or a stack of N poses: proper rotation (3, 3) or
+    (N, 3, 3) plus translation (3,) or (N, 3) in mm.
 
-    Immutable; all operations return new instances. The rotation is
+    Immutable; all operations return new instances. Every rotation is
     validated at construction, so any reachable instance satisfies the
-    orthonormality and det(+1) invariants.
+    orthonormality and det(+1) invariants. A stack has a length, and
+    indexing it gives a row (one pose) or rows (a stack).
     """
 
     rotation: np.ndarray
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3).copy()
+        r = np.asarray(self.rotation, dtype=np.float64)
+        r = r.reshape((3, 3) if r.ndim < 3 else (-1, 3, 3)).copy()
+        t = np.asarray(self.translation, dtype=np.float64)
+        if t.size != r.size // 3:
+            raise ValueError(f"translation {t.shape} does not match rotation {r.shape}")
+        t = t.reshape(r.shape[:-1]).copy()
         _check_rotation(r)
-        r.flags.writeable = False
+        r.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", _as_vector3(self.translation).copy())
-        self.translation.flags.writeable = False
+        object.__setattr__(self, "translation", t)
+
+    def __len__(self) -> int:
+        if self.rotation.ndim == 2:
+            raise TypeError("a single pose has no length")
+        return len(self.rotation)
+
+    def __getitem__(self, rows) -> RigidTransform:
+        if self.rotation.ndim == 2:
+            raise TypeError("a single pose has no rows")
+        return RigidTransform(self.rotation[rows], self.translation[rows])
 
     @classmethod
     def identity(cls) -> RigidTransform:
@@ -157,29 +161,40 @@ class RigidTransform:
         return quat_from_rotation(self.rotation)
 
     def __repr__(self) -> str:  # compact, diff-friendly
+        if self.rotation.ndim == 3:
+            return f"RigidTransform(stack of {len(self)} poses)"
         t = ", ".join(f"{v:.6g}" for v in self.translation)
         return f"RigidTransform(angle={rotation_angle(self.rotation):.6g} rad, t=[{t}] mm)"
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Chain two transforms: compose(t_a_from_b, t_b_from_c) = t_a_from_c."""
-    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+    """Chain two transforms: compose(t_a_from_b, t_b_from_c) = t_a_from_c.
+
+    Two stacks chain row by row; one pose chains with every row of a stack.
+    """
+    return RigidTransform(
+        a.rotation @ b.rotation, (a.rotation @ b.translation[..., None])[..., 0] + a.translation
+    )
 
 
 def invert(t: RigidTransform) -> RigidTransform:
-    """Inverse transform: compose(t, invert(t)) is the identity."""
-    rt = t.rotation.T
-    return RigidTransform(rt, -rt @ t.translation)
+    """Inverse transform, row by row on a stack: compose(t, invert(t)) is the identity."""
+    rt = np.swapaxes(t.rotation, -1, -2)
+    return RigidTransform(rt, (-rt @ t.translation[..., None])[..., 0])
 
 
 def transform_point(t: RigidTransform, p) -> np.ndarray:
-    """Apply ``t`` to a point (3,) or stack of points (N, 3)."""
+    """Apply ``t`` to a point (3,) or to points (N, 3).
+
+    One pose maps every point; a stack maps one point through every row, or
+    point k through row k.
+    """
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 1:
-        return t.rotation @ p + t.translation
-    if p.ndim == 2 and p.shape[1] == 3:
+    if p.ndim not in (1, 2) or p.shape[-1] != 3:
+        raise ValueError(f"expected (3,) or (N, 3) points, got {p.shape}")
+    if t.rotation.ndim == 2 and p.ndim == 2:
         return p @ t.rotation.T + t.translation
-    raise ValueError(f"expected (3,) or (N, 3) points, got {p.shape}")
+    return (t.rotation @ p[..., None])[..., 0] + t.translation
 
 
 def rotation_about_axis(axis, angle_rad) -> Rotation3:
@@ -233,8 +248,11 @@ def rotvec_from_rotation(r: Rotation3) -> np.ndarray:
     out = scale[:, None] * antisym
     if near_pi.any():
         # near pi the antisymmetric part vanishes; take the axis from the
-        # column of R + I with the largest diagonal entry
-        m = r[near_pi] + _EYE
+        # column of sym(R) + I = (1 - cos) n n^T + (1 + cos) I with the
+        # largest diagonal entry (R + I would add sin K(n), off the axis by
+        # the distance to pi)
+        m = r[near_pi]
+        m = (m + np.swapaxes(m, 1, 2)) / 2.0 + _EYE
         k = np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)
         col = m[np.arange(len(m)), :, k]
         axis = col / _norms(col)[:, None]

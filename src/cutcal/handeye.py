@@ -3,8 +3,7 @@
 A dataset pairs, per station i, the robot pose ``base_from_ee_i`` (forward
 kinematics) with the tracker pose ``tracker_from_tool_i`` (optical
 measurement of the marker body mounted on the end-effector), each pose set
-held as one stack of rotations and one of translations. Two fixed
-transforms are estimated:
+held as one ``RigidTransform`` stack. Two fixed transforms are estimated:
 
 - ``base_from_tracker`` (Y): pose of the tracker in the robot base frame.
 - ``ee_from_tool`` (X): pose of the marker body in the end-effector frame.
@@ -29,9 +28,9 @@ import numpy as np
 from .errors import DegenerateConfiguration, InsufficientMotion
 from .geometry import (
     RigidTransform,
-    _freeze_poses,
     _norms,
     best_fit_rotation,
+    compose,
     invert,
     lines_spread_at_least,
     orthonormalize,
@@ -48,35 +47,28 @@ DEFAULT_MIN_AXIS_SEPARATION = math.radians(15.0)
 @dataclass(frozen=True)
 class HandEyeDataset:
     """Station i is row i of each stack: the robot pose ``base_from_ee`` and
-    the tracker pose ``tracker_from_tool``, rotations (N, 3, 3) and
-    translations (N, 3) in mm."""
+    the tracker pose ``tracker_from_tool``, translations in mm."""
 
-    robot_rotations: np.ndarray
-    robot_translations: np.ndarray
-    tracker_rotations: np.ndarray
-    tracker_translations: np.ndarray
+    robot: RigidTransform
+    tracker: RigidTransform
 
     def __post_init__(self):
-        _freeze_poses(self, "robot_rotations", "robot_translations")
-        _freeze_poses(self, "tracker_rotations", "tracker_translations")
-        if len(self.robot_rotations) != len(self.tracker_rotations):
+        if len(self.robot) != len(self.tracker):
             raise ValueError("robot and tracker stacks differ in length")
 
     def __len__(self) -> int:
-        return len(self.robot_rotations)
+        return len(self.robot)
 
 
 @dataclass(frozen=True)
 class RelativeMotions:
     """Relative motions between stations, one per row: A in the robot base, B in the tracker."""
 
-    a_rotations: np.ndarray  # (M, 3, 3)
-    a_translations: np.ndarray  # (M, 3)
-    b_rotations: np.ndarray  # (M, 3, 3)
-    b_translations: np.ndarray  # (M, 3)
+    a: RigidTransform
+    b: RigidTransform
 
     def __len__(self) -> int:
-        return len(self.a_rotations)
+        return len(self.a)
 
 
 @dataclass(frozen=True)
@@ -87,12 +79,6 @@ class HandEyeSolution:
     ee_from_tool: RigidTransform  # X
     residual_rotation_rad: float
     residual_translation_mm: float
-
-
-def _motions(rotations: np.ndarray, translations: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """compose(pose[j], invert(pose[i])) for each index pair, stacked."""
-    rel = rotations[j] @ np.swapaxes(rotations[i], 1, 2)
-    return rel, translations[j] - np.einsum("nij,nj->ni", rel, translations[i])
 
 
 def build_relative_motions(
@@ -117,14 +103,15 @@ def build_relative_motions(
     else:
         raise ValueError(f"unknown pairing scheme {pairing!r}")
 
-    a_r, a_t = _motions(dataset.robot_rotations, dataset.robot_translations, i, j)
-    keep = rotation_angle(a_r) >= min_rotation
+    # A_ij = pose_j . pose_i^-1 (Park & Martin 1994)
+    a = compose(dataset.robot[j], invert(dataset.robot[i]))
+    keep = rotation_angle(a.rotation) >= min_rotation
     if not keep.any():
         raise InsufficientMotion(
             f"no relative motion rotates by at least {math.degrees(min_rotation):.1f} deg"
         )
-    b_r, b_t = _motions(dataset.tracker_rotations, dataset.tracker_translations, i[keep], j[keep])
-    return RelativeMotions(a_r[keep], a_t[keep], b_r, b_t)
+    i, j = i[keep], j[keep]
+    return RelativeMotions(a[keep], compose(dataset.tracker[j], invert(dataset.tracker[i])))
 
 
 def solve_base_to_tracker(
@@ -151,8 +138,8 @@ def solve_base_to_tracker(
     if not len(motions):
         raise InsufficientMotion("no relative motions supplied")
 
-    rotvecs_a = rotvec_from_rotation(motions.a_rotations)
-    rotvecs_b = rotvec_from_rotation(motions.b_rotations)
+    rotvecs_a = rotvec_from_rotation(motions.a.rotation)
+    rotvecs_b = rotvec_from_rotation(motions.b.rotation)
     # a motion whose log map is this small carries no rotation axis
     norms = _norms(rotvecs_a)
     moved = norms > 1e-9
@@ -170,8 +157,8 @@ def solve_base_to_tracker(
             )
         r_y = best_fit_rotation(rotvecs_b, rotvecs_a)
 
-    rows = (motions.a_rotations - np.eye(3)).reshape(-1, 3)
-    rhs = (motions.b_translations @ r_y.T - motions.a_translations).reshape(-1)
+    rows = (motions.a.rotation - np.eye(3)).reshape(-1, 3)
+    rhs = (motions.b.translation @ r_y.T - motions.a.translation).reshape(-1)
     t_y, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     return RigidTransform(r_y, t_y)
 
@@ -189,17 +176,14 @@ def solve_ee_to_tool(dataset: HandEyeDataset, base_from_tracker: RigidTransform)
     """
     if len(dataset) == 0:
         raise DegenerateConfiguration("empty dataset")
-    robot_r, robot_t = dataset.robot_rotations, dataset.robot_translations
-    tracker_r, tracker_t = dataset.tracker_rotations, dataset.tracker_translations
-    # pose of the tool in the base frame, per station
-    tool_r = base_from_tracker.rotation @ tracker_r
-    tool_t = tracker_t @ base_from_tracker.rotation.T + base_from_tracker.translation
-    m = np.einsum("nji,njk->ik", robot_r, tool_r)  # sum of robot_r^T @ tool_r
+    # the per-station estimates of X: invert(base_from_ee) . Y . tracker_from_tool
+    estimates = compose(invert(dataset.robot), compose(base_from_tracker, dataset.tracker))
+    m = estimates.rotation.sum(axis=0)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[2] <= 1e-9 * max(sv[0], 1e-300):
         raise DegenerateConfiguration("rotation averaging stack is rank-deficient")
     r_x = orthonormalize(m)
-    t_x = np.einsum("nji,nj->ni", robot_r, tool_t - robot_t).mean(axis=0)
+    t_x = estimates.translation.mean(axis=0)
     return RigidTransform(r_x, t_x)
 
 
@@ -207,14 +191,9 @@ def closure_residuals(
     dataset: HandEyeDataset, base_from_tracker: RigidTransform, ee_from_tool: RigidTransform
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample loop-closure errors (rotation rad, translation mm)."""
-    robot_r, robot_t = dataset.robot_rotations, dataset.robot_translations
-    tracker_r, tracker_t = dataset.tracker_rotations, dataset.tracker_translations
-    # predicted tracker_from_tool = invert(Y) . base_from_ee . X
-    w, x = invert(base_from_tracker), ee_from_tool
-    predicted_r = w.rotation @ robot_r @ x.rotation
-    predicted_t = (robot_r @ x.translation + robot_t) @ w.rotation.T + w.translation
-    rot = rotation_angle_between(predicted_r, tracker_r)
-    trans = np.linalg.norm(predicted_t - tracker_t, axis=1)
+    predicted = compose(compose(invert(base_from_tracker), dataset.robot), ee_from_tool)
+    rot = rotation_angle_between(predicted.rotation, dataset.tracker.rotation)
+    trans = np.linalg.norm(predicted.translation - dataset.tracker.translation, axis=1)
     return rot, trans
 
 

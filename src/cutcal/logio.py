@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutcalError, FrameError, InvalidPolicy, NonMonotoneTime, ParseError
-from .geometry import (
-    FrameId,
-    _freeze,
-    _norms,
-    orthonormalize,
-    rotation_from_quat,
-)
+from .geometry import FrameId, RigidTransform, _freeze, _norms
 from .metrics import GatePolicy, PlannedCut, TrajectoryRecording
 from .planner import PassPolicy
 
@@ -83,10 +77,9 @@ class PoseLog:
         mask = (self.sources == _FRAME_CODE[source]) & (self.targets == _FRAME_CODE[target])
         return np.flatnonzero(mask)
 
-    def poses(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Rotations (M, 3, 3) and translations (M, 3) of the given rows; each
-        rotation is the one ``RigidTransform.from_quat_wxyz`` would hold."""
-        return orthonormalize(rotation_from_quat(self.quats_wxyz[rows])), self.translations[rows]
+    def poses(self, rows) -> RigidTransform:
+        """The poses of the given rows, one stack."""
+        return RigidTransform.from_quat_wxyz(self.quats_wxyz[rows], self.translations[rows])
 
 
 def _decode(data: str | bytes) -> str:

@@ -13,13 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPolicy
+from .errors import CutcalError, InvalidPolicy
 from .geometry import _freeze
 from .metrics import PlannedCut, TrajectoryRecording
 
 DEFAULT_INSERTION_SPEED = 2.0  # mm/s
 DEFAULT_RETRACTION_SPEED = 10.0  # mm/s
 DEFAULT_RETRACT_CLEARANCE = 5.0  # mm above the surface between passes
+
+# largest recording sample_sequence makes (28 hours at 100 Hz): the samples
+# and the log text written from them grow with it, so memory bounds it
+MAX_SAMPLE_COUNT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -176,16 +180,25 @@ def sample_sequence(seq: CutSequence, rate_hz: float) -> TrajectoryRecording:
     (at least 2 samples, ~rate_hz spacing). Segment boundary samples are
     emitted once, with the earlier segment's active flag. Zero-length
     segments contribute nothing.
+
+    Raises:
+        CutcalError: the sequence needs more than MAX_SAMPLE_COUNT samples,
+            or a number that is not finite.
     """
     if rate_hz <= 0:
         raise ValueError("sampling rate must be positive")
+    durations = [seg.duration_s for seg in seq.segments]
+    count = sum(max(2.0, duration * rate_hz) for duration in durations if duration > 0.0)
+    if not count <= MAX_SAMPLE_COUNT:
+        raise CutcalError(
+            f"sampling at {rate_hz:g} Hz takes {count:.3g} samples, over {MAX_SAMPLE_COUNT}"
+        )
     times: list[np.ndarray] = []
     points: list[np.ndarray] = []
     active: list[np.ndarray] = []
     t0 = 0.0
     first = True
-    for seg in seq.segments:
-        duration = seg.duration_s
+    for seg, duration in zip(seq.segments, durations):
         if duration <= 0.0:
             continue
         n = max(2, round(duration * rate_hz))

@@ -25,9 +25,9 @@ from .errors import DegenerateConfiguration, InconsistentSamples
 from .geometry import (
     RigidTransform,
     _freeze,
-    _freeze_poses,
     _norms,
     compose,
+    invert,
     lines_spread_at_least,
     rotation_angle_between,
     rotvec_from_rotation,
@@ -42,17 +42,12 @@ DEFAULT_MAX_TIP_SPREAD_MM = 1.0
 
 @dataclass(frozen=True)
 class PivotDataset:
-    """Tracker poses ``tracker_from_tool`` while pivoting: rotations (N, 3, 3)
-    and translations (N, 3) in mm."""
+    """Tracker poses ``tracker_from_tool`` while pivoting, one stack, translations in mm."""
 
-    rotations: np.ndarray
-    translations: np.ndarray
-
-    def __post_init__(self):
-        _freeze_poses(self, "rotations", "translations")
+    poses: RigidTransform
 
     def __len__(self) -> int:
-        return len(self.rotations)
+        return len(self.poses)
 
 
 @dataclass(frozen=True)
@@ -75,18 +70,14 @@ class TipSolution:
 class TipCalDataset:
     """Sample i is row i of each stack: the robot pose ``base_from_ee`` and
     the digitizer pose ``tracker_from_digitizer``, whose translation is the
-    tip point; rotations (N, 3, 3) and translations (N, 3) in mm."""
+    tip point, in mm."""
 
-    robot_rotations: np.ndarray
-    robot_translations: np.ndarray
-    digitizer_rotations: np.ndarray
-    digitizer_translations: np.ndarray
+    robot: RigidTransform
+    digitizer: RigidTransform
     hand_eye: HandEyeSolution
 
     def __post_init__(self):
-        _freeze_poses(self, "robot_rotations", "robot_translations")
-        _freeze_poses(self, "digitizer_rotations", "digitizer_translations")
-        if len(self.robot_rotations) != len(self.digitizer_rotations):
+        if len(self.robot) != len(self.digitizer):
             raise ValueError("robot and digitizer stacks differ in length")
         if not len(self):
             raise ValueError("tip calibration needs at least one sample")
@@ -97,12 +88,12 @@ class TipCalDataset:
             raise ValueError("hand-eye solution has non-finite residuals")
 
     def __len__(self) -> int:
-        return len(self.robot_rotations)
+        return len(self.robot)
 
 
 def pivot_residuals(dataset: PivotDataset, solution: PivotSolution) -> np.ndarray:
     """Per-pose distances between the predicted tip and the divot, mm."""
-    predicted = dataset.rotations @ solution.tip_in_tool + dataset.translations
+    predicted = transform_point(dataset.poses, solution.tip_in_tool)
     return _norms(predicted - solution.divot_in_tracker)
 
 
@@ -123,7 +114,7 @@ def calibrate_pivot(
     if n < 3:
         raise DegenerateConfiguration(f"pivot calibration needs >= 3 poses, got {n}")
 
-    rotations, translations = dataset.rotations, dataset.translations
+    rotations, translations = dataset.poses.rotation, dataset.poses.translation
     # one row of pairs at a time, stopping at the first row that reaches the
     # bound: the full n(n-1)/2 stack would cost memory, and only a failure
     # needs the largest angle, for its message
@@ -139,7 +130,7 @@ def calibrate_pivot(
         )
 
     # all rotations about one common axis leave the along-axis tip component free
-    rotvecs = rotvec_from_rotation(rotations[1:] @ rotations[0].T)
+    rotvecs = rotvec_from_rotation(compose(dataset.poses[1:], invert(dataset.poses[0])).rotation)
     norms = _norms(rotvecs)
     moved = norms > 1e-9
     axes = rotvecs[moved] / norms[moved, None]
@@ -156,18 +147,11 @@ def calibrate_pivot(
     return replace(solution, rms_residual_mm=float(np.sqrt(np.mean(residuals**2))))
 
 
-def tip_poses_in_ee(dataset: TipCalDataset) -> tuple[np.ndarray, np.ndarray]:
+def tip_poses_in_ee(dataset: TipCalDataset) -> RigidTransform:
     """Per-sample pose of the tip in the EE frame via the calibrated chain,
-    ``invert(robot) . Y . digitizer``: rotations (N, 3, 3), translations (N, 3)."""
-    y = dataset.hand_eye.base_from_tracker
-    ee_from_base = np.swapaxes(dataset.robot_rotations, 1, 2)
-    ee_from_tracker = ee_from_base @ y.rotation
-    # translation of ee_from_tracker: R_ee^T t_Y - R_ee^T t_ee
-    tracker_in_ee = ee_from_base @ y.translation - np.einsum(
-        "nij,nj->ni", ee_from_base, dataset.robot_translations
-    )
-    digitizer_in_ee = np.einsum("nij,nj->ni", ee_from_tracker, dataset.digitizer_translations)
-    return ee_from_tracker @ dataset.digitizer_rotations, digitizer_in_ee + tracker_in_ee
+    ``invert(robot) . Y . digitizer``, one stack."""
+    ee_from_tracker = compose(invert(dataset.robot), dataset.hand_eye.base_from_tracker)
+    return compose(ee_from_tracker, dataset.digitizer)
 
 
 def calibrate_tip_in_ee(
@@ -183,14 +167,15 @@ def calibrate_tip_in_ee(
         InconsistentSamples: some sample's tip position deviates from the
             mean by more than ``max_spread_mm``.
     """
-    rotations, positions = tip_poses_in_ee(dataset)
+    poses = tip_poses_in_ee(dataset)
+    positions = poses.translation
     mean = positions.mean(axis=0)
     spread = float(np.linalg.norm(positions - mean, axis=1).max())
     if spread > max_spread_mm:
         raise InconsistentSamples(
             f"tip positions spread {spread:.3f} mm exceeds {max_spread_mm:.3f} mm"
         )
-    return TipSolution(RigidTransform(rotations[0], mean), spread)
+    return TipSolution(RigidTransform(poses.rotation[0], mean), spread)
 
 
 def tip_position_in_base(

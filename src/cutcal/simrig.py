@@ -184,17 +184,6 @@ def _diverse_rotations(
     return rotations
 
 
-def _chain(a, b):
-    """compose on (rotations, translations) pairs, each one pose or a stack;
-    every pose of the result equals compose of the matching single poses."""
-    (ra, ta), (rb, tb) = a, b
-    return ra @ rb, (ra @ tb[..., None])[..., 0] + ta
-
-
-def _pose(t: RigidTransform):
-    return t.rotation, t.translation
-
-
 def generate_handeye_dataset(
     gt: RigGroundTruth,
     n: int,
@@ -221,11 +210,16 @@ def generate_handeye_dataset(
         (rng.uniform(-0.5, 0.5, 3), _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas))
         for _ in range(n)
     ]))
-    robot = rotations, np.asarray(workspace_center) + offsets * workspace_extent_mm
-    tracker = _chain(_chain(_pose(invert(gt.base_from_tracker)), robot), _pose(gt.ee_from_tool))
+    translations = np.asarray(workspace_center) + offsets * workspace_extent_mm
+    tracker = compose(
+        compose(invert(gt.base_from_tracker), RigidTransform(rotations, translations)),
+        gt.ee_from_tool,
+    )
     return HandEyeDataset(
-        *_perturb(*robot, robot_sigmas, robot_normals),
-        *_perturb(*tracker, tracker_sigmas, tracker_normals),
+        RigidTransform(*_perturb(rotations, translations, robot_sigmas, robot_normals)),
+        RigidTransform(
+            *_perturb(tracker.rotation, tracker.translation, tracker_sigmas, tracker_normals)
+        ),
     )
 
 
@@ -251,7 +245,7 @@ def generate_pivot_dataset(
     axes /= _norms(axes)[:, None]
     r = nominal @ rotation_about_axis(axes, cone_half_angle_rad * fractions)
     translations = gt.divot_in_tracker - (r @ gt.tip_in_tool[:, None])[..., 0]
-    return PivotDataset(*_perturb(r, translations, sigmas, normals))
+    return PivotDataset(RigidTransform(*_perturb(r, translations, sigmas, normals)))
 
 
 def generate_tipcal_dataset(
@@ -277,11 +271,16 @@ def generate_tipcal_dataset(
          _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas))
         for _ in range(n)
     ]))
-    robot = rotation_from_quat(quats), np.asarray(workspace_center) + offsets
-    digitizer = _chain(_chain(_pose(invert(gt.base_from_tracker)), robot), _pose(ee_from_tip))
+    rotations, translations = rotation_from_quat(quats), np.asarray(workspace_center) + offsets
+    digitizer = compose(
+        compose(invert(gt.base_from_tracker), RigidTransform(rotations, translations)),
+        ee_from_tip,
+    )
     return TipCalDataset(
-        *_perturb(*robot, robot_sigmas, robot_normals),
-        *_perturb(*digitizer, tracker_sigmas, tracker_normals),
+        RigidTransform(*_perturb(rotations, translations, robot_sigmas, robot_normals)),
+        RigidTransform(
+            *_perturb(digitizer.rotation, digitizer.translation, tracker_sigmas, tracker_normals)
+        ),
         gt.hand_eye_solution(),
     )
 
@@ -316,6 +315,8 @@ def synthesize_ruso_trial(
         sigmas,
         _normals(rng, sigmas, len(nominal.points)),
     )
+    # r_tool is orthonormal only to the plan's 1e-6 tolerance, so the measured
+    # tool poses need not pass the RigidTransform check: map their tip by hand
     points = transform_point(gt.base_from_tracker, rotations @ gt.tip_in_tool + translations)
     return TrajectoryRecording(nominal.timestamps, points, nominal.tool_active)
 

@@ -16,14 +16,12 @@ def assert_transforms_close(a: RigidTransform, b: RigidTransform, atol: float = 
     np.testing.assert_allclose(a.translation, b.translation, atol=atol, rtol=0)
 
 
-def stack(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (N, 3, 3) and translations (N, 3) of a sequence of transforms."""
-    return np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
-
-
-def unstack(rotations, translations) -> list[RigidTransform]:
-    """One transform per row of a pose stack."""
-    return [RigidTransform(r, t) for r, t in zip(rotations, translations)]
+def stack(poses) -> RigidTransform:
+    """One stack of a sequence of transforms; ``list()`` of a stack undoes it."""
+    return RigidTransform(
+        np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+        np.array([p.translation for p in poses]).reshape(-1, 3),
+    )
 
 
 def peak_traced_bytes(fn) -> int:

@@ -126,6 +126,17 @@ class TestCalibrationPipeline:
         solution = json.loads(tip_out.read_text())
         assert solution["tip_position_spread_mm"] < 1e-6
 
+        # rows scaled by s and 1/s: inside the rotation check's 1e-5 diagonal
+        # tolerance, but chained with a robot pose the error lands off the
+        # diagonal, where the tolerance is 1e-9
+        doc = json.loads(he_out.read_text())
+        rotation = np.array(doc["base_from_tracker"]["rotation"])
+        rotation[:2] *= np.array([1 + 4e-6, 1 / (1 + 4e-6)])[:, None]
+        doc["base_from_tracker"]["rotation"] = rotation.tolist()
+        he_out.write_text(json.dumps(doc))
+        assert main(["calibrate-tip", "--input", str(tip_log), "--handeye", str(he_out),
+                     "--max-spread-mm", "1000", "--output", str(tip_out)]) == 0
+
 
 class TestReportCommand:
     def test_aggregates_analyze_outputs(self, tmp_path, plan_path, capsys):
@@ -223,6 +234,12 @@ def bad_inputs(tmp_path_factory):
     (d / "plan_huge_int.json").write_text(json.dumps({**plan, "length_mm": 10**400}))
     (d / "plan_long_int.json").write_text(json.dumps(plan).replace("10.0", "1" * 5000))
     (d / "plan_huge_k.json").write_text(json.dumps({**plan, "analysis": {"K": 10**13}}))
+    # 1e-9 mm/s moves: 3.6e11 samples at 10 Hz; and a 1e-320 speed: inf seconds
+    slow = {"depth_increment_mm": 1.0, "insertion_speed_mm_s": 1e-9, "retraction_speed_mm_s": 1e-9}
+    (d / "plan_slow.json").write_text(
+        json.dumps({**plan, "cutting_speed_mm_s": 1e-9, "pass_policy": slow})
+    )
+    (d / "plan_subnormal_speed.json").write_text(json.dumps({**plan, "cutting_speed_mm_s": 1e-320}))
     (d / "deep.json").write_text("[" * 100_000)
     huge = {**solution["base_from_tracker"], "translation_mm": [10**400, 0, 0]}
     (d / "he_huge_int.json").write_text(json.dumps({**solution, "base_from_tracker": huge}))
@@ -285,6 +302,12 @@ CLI_ERROR_CASES = [
                  "CutcalError", "non-finite number: rmse_mm_mean", id="analyze-csv-overflow"),
     pytest.param("report --input {d}/report_huge1.json {d}/report_huge2.json --format text", 1,
                  "CutcalError", "non-finite number: rmse_mm_mean", id="report-text-overflow"),
+    pytest.param("simulate ruso --plan {d}/plan_slow.json", 1,
+                 "CutcalError", "3.6e+11 samples, over 10000000", id="ruso-slow-plan"),
+    pytest.param("simulate ruso --plan {d}/plan_subnormal_speed.json", 1,
+                 "CutcalError", "inf samples, over 10000000", id="ruso-subnormal-speed"),
+    pytest.param("simulate muso --plan {d}/plan.json --rate 1e300", 1,
+                 "CutcalError", "samples, over 10000000", id="muso-huge-rate"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",

@@ -1,12 +1,13 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_transforms_close, random_rigid
+from conftest import assert_transforms_close, random_rigid, stack
 from cutcal.errors import DegenerateConfiguration
 from cutcal.geometry import (
     FrameId,
@@ -29,7 +30,7 @@ from cutcal.handeye import HandEyeDataset
 from cutcal.logio import PoseLog
 from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
 from cutcal.planner import Segment
-from cutcal.pointcal import PivotDataset, PivotSolution
+from cutcal.pointcal import PivotDataset, PivotSolution, TipCalDataset
 from cutcal.simrig import RigGroundTruth, random_rotation
 
 
@@ -264,13 +265,17 @@ def test_line_spread_treats_opposite_directions_as_one_line():
 
 
 def _value_types():
+    one = RigidTransform(np.eye(3)[None], np.zeros((1, 3)))
     plan = PlannedCut([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0], 10.0, 2.0, 1.0)
     return [
         (PoseLog([0.0], [0], [1], [[1.0, 0.0, 0.0, 0.0]], [[1.0, 2.0, 3.0]]),
          ("timestamps", "sources", "targets", "quats_wxyz", "translations")),
-        (HandEyeDataset(np.eye(3)[None], np.zeros((1, 3)), np.eye(3)[None], np.ones((1, 3))),
-         ("robot_rotations", "robot_translations", "tracker_rotations", "tracker_translations")),
-        (PivotDataset(np.eye(3)[None], np.zeros((1, 3))), ("rotations", "translations")),
+        (HandEyeDataset(one, RigidTransform(np.eye(3)[None], np.ones((1, 3)))),
+         ("robot.rotation", "robot.translation", "tracker.rotation", "tracker.translation")),
+        (PivotDataset(one), ("poses.rotation", "poses.translation")),
+        (TipCalDataset(one, one, RigGroundTruth.random(0).hand_eye_solution()),
+         ("robot.rotation", "robot.translation", "digitizer.rotation", "digitizer.translation")),
+        (RigidTransform.identity(), ("rotation", "translation")),
         (plan, ("entry_point", "direction", "depth_axis")),
         (Segment([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0, True), ("start", "end")),
         (TrajectoryRecording([0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [True, False]),
@@ -288,7 +293,7 @@ def _value_types():
     ids=lambda x: x if isinstance(x, str) else type(x).__name__,
 )
 def test_array_fields_of_value_types_are_read_only(value, name):
-    arr = getattr(value, name)
+    arr = operator.attrgetter(name)(value)
     assert isinstance(arr, np.ndarray) and not arr.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         arr.flat[0] = arr.flat[0]
@@ -312,7 +317,7 @@ def rotvec_per_matrix(r) -> np.ndarray:
     if angle < 1e-10:
         return antisym / 2.0
     if math.pi - angle < 1e-6:
-        m = r + np.eye(3)
+        m = (r + r.T) / 2.0 + np.eye(3)
         col = m[:, np.argmax(np.diag(m))]
         axis = col / np.linalg.norm(col)
         if antisym @ axis < 0:
@@ -490,3 +495,113 @@ class TestStackedGeometry:
         nan = np.eye(3)
         nan[0, 1] = math.nan
         assert not allclose_accepts(nan) and not accepts(nan)
+
+
+# References for the stacked pose algebra: the single-pose forms compose,
+# invert and transform_point had before they took stacks.
+def compose_one(a: RigidTransform, b: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
+    return a.rotation @ b.rotation, a.rotation @ b.translation + a.translation
+
+
+def invert_one(t: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
+    rt = t.rotation.T
+    return rt, -rt @ t.translation
+
+
+def transform_one(t: RigidTransform, p) -> np.ndarray:
+    return t.rotation @ p + t.translation
+
+
+def row_bytes(t: RigidTransform, k: int) -> bytes:
+    return t.rotation[k].tobytes() + t.translation[k].tobytes()
+
+
+def pose_bytes(rotation, translation) -> bytes:
+    return np.asarray(rotation).tobytes() + np.asarray(translation).tobytes()
+
+
+coordinates = st.floats(-1e3, 1e3, allow_subnormal=False)
+vectors = st.tuples(coordinates, coordinates, coordinates).map(np.array)
+poses = st.builds(RigidTransform, rotations, vectors)
+# the angles strategy without pi itself, where the axis sign is arbitrary
+angles_below_pi = st.one_of(
+    st.floats(0.0, 1e-9),
+    st.floats(0.0, math.pi, exclude_max=True),
+    st.floats(math.pi - 1e-5, math.pi, exclude_max=True),
+)
+
+
+class TestStackedPoseAlgebra:
+    @PROPERTY
+    @given(st.lists(st.tuples(poses, poses, vectors), min_size=1, max_size=20))
+    def test_stacked_algebra_equals_the_per_pose_form(self, rows):
+        a_rows, b_rows, points = zip(*rows)
+        a, b, p = stack(a_rows), stack(b_rows), np.array(points)
+        chained, inverse = compose(a, b), invert(a)
+        # one pose against a stack broadcasts
+        first_then_each, each_then_first = compose(a_rows[0], b), compose(a, b_rows[0])
+        mapped, one_point = transform_point(a, p), transform_point(a, p[0])
+        assert len(chained) == len(inverse) == len(first_then_each) == len(rows)
+        for k, (a_k, b_k, p_k) in enumerate(rows):
+            want = pose_bytes(*compose_one(a_k, b_k))
+            assert row_bytes(chained, k) == want
+            single = compose(a_k, b_k)
+            assert pose_bytes(single.rotation, single.translation) == want
+            assert row_bytes(first_then_each, k) == pose_bytes(*compose_one(a_rows[0], b_k))
+            assert row_bytes(each_then_first, k) == pose_bytes(*compose_one(a_k, b_rows[0]))
+            assert row_bytes(inverse, k) == pose_bytes(*invert_one(a_k))
+            single = invert(a_k)
+            assert pose_bytes(single.rotation, single.translation) == pose_bytes(*invert_one(a_k))
+            assert mapped[k].tobytes() == transform_one(a_k, p_k).tobytes()
+            assert one_point[k].tobytes() == transform_one(a_k, p[0]).tobytes()
+            assert transform_point(a_k, p_k).tobytes() == transform_one(a_k, p_k).tobytes()
+
+    @PROPERTY
+    @given(st.lists(poses, min_size=1, max_size=20))
+    def test_compose_with_inverse_is_the_identity(self, rows):
+        t = stack(rows)
+        for identity in (compose(t, invert(t)), compose(invert(t), t)):
+            np.testing.assert_allclose(
+                identity.rotation, np.broadcast_to(np.eye(3), (len(t), 3, 3)), rtol=0, atol=1e-12
+            )
+            # translations up to 1e3 mm: the rounding grows with their size
+            scale = max(1.0, np.abs(t.translation).max())
+            assert np.abs(identity.translation).max() <= 1e-12 * scale
+
+    @PROPERTY
+    @given(st.lists(st.tuples(axes, angles_below_pi), min_size=1, max_size=20))
+    def test_log_map_inverts_the_axis_angle_rotation(self, motions):
+        axis, angle = (np.array(v) for v in zip(*motions))
+        want = axis / np.linalg.norm(axis, axis=1, keepdims=True) * angle[:, None]
+        # conditioned worst at the near-pi branch switch: about 2e-10
+        np.testing.assert_allclose(
+            rotvec_from_rotation(rotation_about_axis(axis, angle)), want, rtol=0, atol=1e-9
+        )
+
+
+def test_pose_stacks_have_rows_and_a_length(rng):
+    rows = [random_rigid(rng) for _ in range(5)]
+    t = stack(rows)
+    assert len(t) == 5 and len(list(t)) == 5
+    assert_transforms_close(t[3], rows[3], atol=0)
+    assert t[3].rotation.shape == (3, 3) and t[3].translation.shape == (3,)
+    assert len(t[1:4]) == 3 and len(t[np.array([True, False, True, False, False])]) == 2
+    assert len(t[np.array([4, 0, 4])]) == 3 and len(t[:0]) == 0
+    single = RigidTransform.identity()
+    with pytest.raises(TypeError):
+        len(single)
+    with pytest.raises(TypeError):
+        single[0]
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_a_non_rotation_in_a_stack_is_rejected_when_built(rng, k):
+    rotations = np.array([random_rotation(rng) for _ in range(7)])
+    rotations[k] = rotations[k] @ np.diag([1.0, 1.0, -1.0])  # a reflection
+    with pytest.raises(ValueError, match="not proper"):
+        RigidTransform(rotations, np.zeros((7, 3)))
+    rotations[k] = np.eye(3) * 1.001
+    with pytest.raises(ValueError, match="not orthonormal"):
+        RigidTransform(rotations, np.zeros((7, 3)))
+    with pytest.raises(ValueError, match="does not match"):
+        RigidTransform(np.array([np.eye(3)] * 7), np.zeros((6, 3)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_transforms_close, peak_traced_bytes, random_rigid, stack, unstack
+from conftest import assert_transforms_close, peak_traced_bytes, random_rigid, stack
 from cutcal.errors import DegenerateConfiguration, InsufficientMotion
 from cutcal.geometry import (
     RigidTransform,
@@ -27,15 +27,12 @@ from cutcal.simrig import NoiseModel, RigGroundTruth, generate_handeye_dataset
 def make_dataset(gt: RigGroundTruth, robot_poses) -> HandEyeDataset:
     w = invert(gt.base_from_tracker)
     trackers = [compose(compose(w, robot), gt.ee_from_tool) for robot in robot_poses]
-    return HandEyeDataset(*stack(robot_poses), *stack(trackers))
+    return HandEyeDataset(stack(robot_poses), stack(trackers))
 
 
 def poses_of(dataset: HandEyeDataset) -> tuple[list, list]:
     """The robot and the tracker poses of a dataset, one transform each."""
-    return (
-        unstack(dataset.robot_rotations, dataset.robot_translations),
-        unstack(dataset.tracker_rotations, dataset.tracker_translations),
-    )
+    return list(dataset.robot), list(dataset.tracker)
 
 
 def recovery_errors(solution, gt):
@@ -62,10 +59,7 @@ class TestBuildRelativeMotions:
         for pairing in ("consecutive", "all_pairs"):
             m = build_relative_motions(dataset, pairing=pairing)
             assert len(m) > 0
-            for a_r, a_t, b_r, b_t in zip(
-                m.a_rotations, m.a_translations, m.b_rotations, m.b_translations
-            ):
-                a, b = RigidTransform(a_r, a_t), RigidTransform(b_r, b_t)
+            for a, b in zip(m.a, m.b, strict=True):
                 assert_transforms_close(compose(a, y), compose(y, b), atol=1e-9)
 
     def test_rotation_angles_match(self):
@@ -73,7 +67,7 @@ class TestBuildRelativeMotions:
         dataset = generate_handeye_dataset(gt, 8, seed=6)
         m = build_relative_motions(dataset)
         assert len(m) > 0
-        assert np.all(np.abs(rotation_angle(m.a_rotations) - rotation_angle(m.b_rotations)) < 1e-9)
+        assert np.all(np.abs(rotation_angle(m.a.rotation) - rotation_angle(m.b.rotation)) < 1e-9)
 
     def test_stacked_motions_equal_per_pair_compose(self):
         gt = RigGroundTruth.random(5)
@@ -90,8 +84,8 @@ class TestBuildRelativeMotions:
         m = build_relative_motions(dataset, min_rotation=min_rotation, pairing="all_pairs")
         assert 0 < len(m) == len(expected) < 36
         for k, (a, b) in enumerate(expected):
-            assert_transforms_close(RigidTransform(m.a_rotations[k], m.a_translations[k]), a)
-            assert_transforms_close(RigidTransform(m.b_rotations[k], m.b_translations[k]), b)
+            assert_transforms_close(m.a[k], a)
+            assert_transforms_close(m.b[k], b)
 
     def test_one_station_is_insufficient(self, rng):
         dataset = make_dataset(RigGroundTruth.random(6), [random_rigid(rng)])

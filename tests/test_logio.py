@@ -94,10 +94,7 @@ class TestPoseLog:
         text = POSE_LOG_HEADER + "\n0.5,S,EE,1,0,0,0,0,0,0\n"
         log = parse_pose_log(text)
         assert len(log) == 1 and log.rows_of(FrameId.S, FrameId.EE).tolist() == [0]
-        rotations, translations = log.poses([0])
-        assert_transforms_close(
-            RigidTransform(rotations[0], translations[0]), RigidTransform.identity(), atol=1e-12
-        )
+        assert_transforms_close(log.poses(0), RigidTransform.identity(), atol=1e-12)
 
     def test_quaternion_norm_half_rejected(self):
         text = POSE_LOG_HEADER + "\n0,S,EE,0.5,0,0,0,0,0,0\n"
@@ -333,10 +330,8 @@ class TestStackedPoseLog:
         timestamp, source, target, quat, translation = rows_of_log(log)[1]
         assert (timestamp, source, target) == (1.5, FrameId.OT, FrameId.TOOL)
         assert translation.tolist() == [4.0, 5.0, 6.0]
-        rotations, translations = log.poses([0, 1])
         assert_transforms_close(
-            RigidTransform(rotations[1], translations[1]),
-            RigidTransform.from_quat_wxyz(quat, translation),
+            log.poses([0, 1])[1], RigidTransform.from_quat_wxyz(quat, translation)
         )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_transforms_close, peak_traced_bytes, random_rigid, stack, unstack
+from conftest import assert_transforms_close, peak_traced_bytes, random_rigid, stack
 from cutcal.errors import DegenerateConfiguration, InconsistentSamples
 from cutcal.geometry import (
     RigidTransform,
@@ -51,7 +51,7 @@ class TestCalibratePivot:
     def test_identical_poses_degenerate(self, rng):
         pose = random_rigid(rng)
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(*stack([pose] * 4)))
+            calibrate_pivot(PivotDataset(stack([pose] * 4)))
 
     def test_single_axis_pivot_degenerate(self, rng):
         # rotations about one line through the divot leave the tip's
@@ -63,11 +63,11 @@ class TestCalibratePivot:
             r = rotation_about_axis([0.0, 1.0, 0.0], math.radians(15.0 * k))
             poses.append(RigidTransform(r, divot - r @ tip))
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(*stack(poses)))
+            calibrate_pivot(PivotDataset(stack(poses)))
 
     def test_too_few_poses(self, rng):
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(*stack([random_rigid(rng), random_rigid(rng)])))
+            calibrate_pivot(PivotDataset(stack([random_rigid(rng), random_rigid(rng)])))
 
     def test_noisy_monte_carlo_tip_error(self):
         gt = fixed_tip_rig(3)
@@ -90,7 +90,7 @@ class TestCalibratePivot:
                     + pose.translation
                     - solution.divot_in_tracker
                 )
-                for pose in unstack(dataset.rotations, dataset.translations)
+                for pose in dataset.poses
             ]
         )
         assert abs(solution.rms_residual_mm - math.sqrt(np.mean(per_pose**2))) < 1e-12
@@ -101,8 +101,7 @@ class TestCalibratePivot:
             gt, 20, math.radians(30), NoiseModel(tracker_trans_sigma_mm=0.05), seed=7
         )
         g = random_rigid(rng)
-        poses = unstack(dataset.rotations, dataset.translations)
-        moved = PivotDataset(*stack([compose(g, p) for p in poses]))
+        moved = PivotDataset(stack([compose(g, p) for p in dataset.poses]))
         original = calibrate_pivot(dataset)
         reexpressed = calibrate_pivot(moved)
         np.testing.assert_allclose(reexpressed.tip_in_tool, original.tip_in_tool, atol=1e-8)
@@ -123,7 +122,7 @@ class TestCalibratePivot:
             for a in angles
         ]
         with pytest.raises(DegenerateConfiguration, match="rotation spread 5.00 deg below 20.0"):
-            calibrate_pivot(PivotDataset(*stack(poses)))
+            calibrate_pivot(PivotDataset(stack(poses)))
 
     def test_5000_poses_run_in_bounded_memory(self):
         gt = fixed_tip_rig(9)
@@ -138,7 +137,7 @@ class TestCalibrateTipInEe:
         identity = RigidTransform.identity()
         hand_eye = HandEyeSolution(identity, identity, 0.0, 0.0)
         digitizer = random_rigid(rng)
-        dataset = TipCalDataset(*stack([identity]), *stack([digitizer]), hand_eye)
+        dataset = TipCalDataset(stack([identity]), stack([digitizer]), hand_eye)
         assert_transforms_close(calibrate_tip_in_ee(dataset).ee_from_tip, digitizer, atol=1e-12)
 
     def test_noiseless_recovery(self):
@@ -151,13 +150,11 @@ class TestCalibrateTipInEe:
     def test_outlier_trips_threshold(self):
         gt = RigGroundTruth.random(12)
         dataset = generate_tipcal_dataset(gt, 5, seed=13)
-        shifted = dataset.digitizer_translations.copy()
+        shifted = dataset.digitizer.translation.copy()
         shifted[2] += [5.0, 0.0, 0.0]
         corrupted = TipCalDataset(
-            dataset.robot_rotations,
-            dataset.robot_translations,
-            dataset.digitizer_rotations,
-            shifted,
+            dataset.robot,
+            RigidTransform(dataset.digitizer.rotation, shifted),
             dataset.hand_eye,
         )
         with pytest.raises(InconsistentSamples):
@@ -166,10 +163,10 @@ class TestCalibrateTipInEe:
     def test_chain_roundtrip_returns_digitizer_input(self):
         gt = RigGroundTruth.random(14)
         dataset = generate_tipcal_dataset(gt, 3, seed=15)
-        robots = unstack(dataset.robot_rotations, dataset.robot_translations)
-        digitizers = unstack(dataset.digitizer_rotations, dataset.digitizer_translations)
-        tip_poses = unstack(*tip_poses_in_ee(dataset))
-        for robot, digitizer, tip_pose in zip(robots, digitizers, tip_poses, strict=True):
+        tip_poses = tip_poses_in_ee(dataset)
+        for robot, digitizer, tip_pose in zip(
+            dataset.robot, dataset.digitizer, tip_poses, strict=True
+        ):
             # invert the chain: digitizer = tracker_from_base . base_from_ee . ee_from_tip
             recovered = compose(compose(invert(gt.base_from_tracker), robot), tip_pose)
             assert_transforms_close(recovered, digitizer, atol=1e-9)

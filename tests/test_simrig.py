@@ -77,7 +77,7 @@ def per_pose_handeye(gt, n, noise, seed):
                 tracker, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
             )
         )
-    return (*stack(robots), *stack(trackers))
+    return stack(robots), stack(trackers)
 
 
 def per_pose_pivot(gt, n, cone_half_angle_rad, noise, seed):
@@ -92,7 +92,7 @@ def per_pose_pivot(gt, n, cone_half_angle_rad, noise, seed):
         poses.append(
             perturb_transform(exact, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng)
         )
-    return stack(poses)
+    return (stack(poses),)
 
 
 def per_pose_tipcal(gt, n, noise, seed):
@@ -113,7 +113,7 @@ def per_pose_tipcal(gt, n, noise, seed):
                 digitizer, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
             )
         )
-    return (*stack(robots), *stack(digitizers))
+    return stack(robots), stack(digitizers)
 
 
 NOISES = {
@@ -138,29 +138,25 @@ def test_stacked_generator_equals_the_per_pose_loop(kind, n, noise):
         gt = RigGroundTruth.random(seed + 50)
         if kind == "handeye":
             ds = generate_handeye_dataset(gt, n, noise, seed=seed)
-            got = (ds.robot_rotations, ds.robot_translations,
-                   ds.tracker_rotations, ds.tracker_translations)
+            got = (ds.robot, ds.tracker)
             want = per_pose_handeye(gt, n, noise, seed)
         elif kind == "pivot":
             ds = generate_pivot_dataset(gt, n, math.radians(30.0), noise, seed=seed)
-            got = (ds.rotations, ds.translations)
+            got = (ds.poses,)
             want = per_pose_pivot(gt, n, math.radians(30.0), noise, seed)
         else:
             ds = generate_tipcal_dataset(gt, n, noise, seed=seed)
-            got = (ds.robot_rotations, ds.robot_translations,
-                   ds.digitizer_rotations, ds.digitizer_translations)
+            got = (ds.robot, ds.digitizer)
             want = per_pose_tipcal(gt, n, noise, seed)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert pose_bytes(got) == pose_bytes(want)
+
+
+def pose_bytes(stacks) -> bytes:
+    return b"".join(p.rotation.tobytes() + p.translation.tobytes() for p in stacks)
 
 
 def dataset_fingerprint(dataset) -> bytes:
-    stacks = (
-        dataset.robot_rotations,
-        dataset.robot_translations,
-        dataset.tracker_rotations,
-        dataset.tracker_translations,
-    )
-    return b"".join(a.tobytes() for a in stacks)
+    return pose_bytes((dataset.robot, dataset.tracker))
 
 
 class TestDeterminism:
