@@ -47,15 +47,7 @@ from .metrics import (
     procedure_time,
     trajectory_rmse,
 )
-from .planner import (
-    CutSequence,
-    Pass,
-    PassPolicy,
-    Segment,
-    nominal_timeline,
-    plan_sequence,
-    sample_sequence,
-)
+from .planner import CutSequence, PassPolicy, plan_sequence, sample_sequence
 from .pointcal import (
     PivotDataset,
     PivotSolution,

@@ -34,16 +34,7 @@ from .geometry import (
 )
 from .handeye import HandEyeDataset, HandEyeSolution
 from .metrics import PlannedCut, TrajectoryRecording
-from .planner import (
-    DEFAULT_RETRACT_CLEARANCE,
-    DEFAULT_RETRACTION_SPEED,
-    CutSequence,
-    Pass,
-    PassPolicy,
-    Segment,
-    plan_sequence,
-    sample_sequence,
-)
+from .planner import PassPolicy, _build_passes, plan_sequence, sample_sequence
 from .pointcal import PivotDataset, PivotSolution, TipCalDataset
 
 
@@ -348,7 +339,8 @@ def synthesize_muso_trial(
 ) -> TrajectoryRecording:
     """Manual trial: several hand-guided passes with correlated tremor.
 
-    Pass depths ramp toward a per-trial final depth drawn as
+    The passes are the planner's insert/cut/retract moves, each pass at its
+    own hand speed. Pass depths ramp toward a per-trial final depth drawn as
     target + N(depth_bias, depth_sigma); lateral tremor is a stationary
     AR(1) process with sigma = lateral_sigma; the cut floor carries smaller
     correlated roughness (0.25 * depth_sigma).
@@ -362,28 +354,8 @@ def synthesize_muso_trial(
         rng.normal(jitter.speed_mean_mm_s, jitter.speed_sigma_mm_s, n_passes),
         0.2 * jitter.speed_mean_mm_s,
     )
-
-    entry = plan.entry_point
-    along = plan.direction * plan.length_mm
-    down = plan.depth_axis
-    passes = []
-    for k in range(n_passes):
-        depth = final_depth * (k + 1) / n_passes
-        floor = entry + depth * down
-        speed = float(speeds[k])
-        passes.append(
-            Pass(
-                insert=Segment(entry, floor, speed, tool_active=True),
-                cut=Segment(floor, floor + along, speed, tool_active=True),
-                retract=Segment(
-                    floor + along,
-                    entry + along - DEFAULT_RETRACT_CLEARANCE * down,
-                    DEFAULT_RETRACTION_SPEED,
-                    tool_active=False,
-                ),
-            )
-        )
-    nominal = sample_sequence(CutSequence(tuple(passes)), rate_hz)
+    depths = final_depth * np.arange(1, n_passes + 1) / n_passes
+    nominal = sample_sequence(_build_passes(plan, depths, speeds, speeds), rate_hz)
 
     lateral = _ar1(nominal.timestamps, jitter.lateral_sigma_mm, jitter.correlation_time_s, rng)
     roughness = _ar1(

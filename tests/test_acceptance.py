@@ -33,7 +33,7 @@ from cutcal.metrics import (
     perpendicular_errors,
     trajectory_rmse,
 )
-from cutcal.planner import PassPolicy, nominal_timeline, pass_depths, plan_sequence, sample_sequence
+from cutcal.planner import PassPolicy, pass_depths, plan_sequence, sample_sequence
 from cutcal.pointcal import calibrate_pivot
 from cutcal.report import parse_report, serialize_report
 from cutcal.simrig import (
@@ -191,8 +191,8 @@ def test_criterion_5_planner_roundtrip_identity():
         increment = float(rng.uniform(0.15, 1.0)) * plan.target_depth_mm
         policy = PassPolicy(depth_increment_mm=increment)
         seq = plan_sequence(plan, policy)
-        assert len(seq.passes) == math.ceil(plan.target_depth_mm / increment - 1e-9)
-        assert len(pass_depths(plan.target_depth_mm, increment)) == len(seq.passes)
+        assert len(seq) == math.ceil(plan.target_depth_mm / increment - 1e-9)
+        assert len(pass_depths(plan.target_depth_mm, increment)) == len(seq)
         report = build_report(sample_sequence(seq, 60.0), plan, 50, "R1.1")
         assert report.rmse_mm < 1e-9
         assert abs(report.mean_depth_mm - plan.target_depth_mm) < 1e-9
@@ -246,13 +246,14 @@ def test_criterion_6_table_scale_reproduction():
 
 def test_criterion_7_timeline_sanity():
     plan = standard_plan(target=4.0, speed=3.0)
-    timeline = nominal_timeline(plan_sequence(plan, PassPolicy(depth_increment_mm=4.0)))
-    cutting = timeline.cut_time_s()
+    # one (insert, cut, retract) row of durations per pass
+    durations = plan_sequence(plan, PassPolicy(depth_increment_mm=4.0)).durations_s
+    cutting = durations[:, 1].sum()
     assert abs(cutting - 33.33) <= 0.01
-    overhead = timeline.total_active_s - cutting
-    assert overhead > 0.0
-    retract = sum(t.duration_s for t in timeline.segments if t.kind == "retract")
-    assert retract > 0.0
+    active = durations[:, :2].sum()
+    assert abs(active - 35.33) <= 0.01
+    assert active - cutting > 0.0
+    assert durations[:, 2].sum() > 0.0
     _announce(7, "nominal timeline sanity")
 
 

@@ -240,6 +240,12 @@ def bad_inputs(tmp_path_factory):
         json.dumps({**plan, "cutting_speed_mm_s": 1e-9, "pass_policy": slow})
     )
     (d / "plan_subnormal_speed.json").write_text(json.dumps({**plan, "cutting_speed_mm_s": 1e-320}))
+    # a 1e200 mm cut: its squared length overflows
+    (d / "plan_long.json").write_text(json.dumps({**plan, "length_mm": 1e200}))
+    # 1e9 passes of 1 um
+    (d / "plan_deep.json").write_text(
+        json.dumps({**plan, "target_depth_mm": 1e6, "pass_policy": {"depth_increment_mm": 1e-3}})
+    )
     (d / "deep.json").write_text("[" * 100_000)
     huge = {**solution["base_from_tracker"], "translation_mm": [10**400, 0, 0]}
     (d / "he_huge_int.json").write_text(json.dumps({**solution, "base_from_tracker": huge}))
@@ -306,6 +312,10 @@ CLI_ERROR_CASES = [
                  "CutcalError", "3.6e+11 samples, over 10000000", id="ruso-slow-plan"),
     pytest.param("simulate ruso --plan {d}/plan_subnormal_speed.json", 1,
                  "CutcalError", "inf samples, over 10000000", id="ruso-subnormal-speed"),
+    pytest.param("simulate ruso --plan {d}/plan_long.json", 1,
+                 "CutcalError", "inf samples, over 10000000", id="ruso-long-plan"),
+    pytest.param("simulate ruso --plan {d}/plan_deep.json --rate 1", 1,
+                 "InvalidPolicy", "takes over 1666666 passes", id="ruso-deep-plan"),
     pytest.param("simulate muso --plan {d}/plan.json --rate 1e300", 1,
                  "CutcalError", "samples, over 10000000", id="muso-huge-rate"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),

@@ -29,7 +29,7 @@ from cutcal.geometry import (
 from cutcal.handeye import HandEyeDataset
 from cutcal.logio import PoseLog
 from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
-from cutcal.planner import Segment
+from cutcal.planner import CutSequence
 from cutcal.pointcal import PivotDataset, PivotSolution, TipCalDataset
 from cutcal.simrig import RigGroundTruth, random_rotation
 
@@ -277,7 +277,8 @@ def _value_types():
          ("robot.rotation", "robot.translation", "digitizer.rotation", "digitizer.translation")),
         (RigidTransform.identity(), ("rotation", "translation")),
         (plan, ("entry_point", "direction", "depth_axis")),
-        (Segment([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1.0, True), ("start", "end")),
+        (CutSequence(np.zeros((1, 3, 3)), np.ones((1, 3, 3)), np.ones((1, 3))),
+         ("starts", "ends", "speeds_mm_s")),
         (TrajectoryRecording([0.0, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [True, False]),
          ("timestamps", "points", "tool_active")),
         (CutProfile(2, 5.0, [1.0, math.nan], 0.5), ("depths_mm",)),

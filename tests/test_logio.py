@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_transforms_close
@@ -11,6 +11,7 @@ from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
 from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation
 from cutcal.logio import (
     _WRITE_CHUNK_ROWS,
+    MAX_BIN_COUNT,
     POSE_LOG_HEADER,
     TRAJECTORY_LOG_HEADER,
     AnalysisOptions,
@@ -446,7 +447,62 @@ class TestTrajectoryLog:
         assert min(times) < 2.0, "parse took " + ", ".join(f"{t:.2f}s" for t in times)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def plan_files(draw) -> PlanFile:
+    """Valid plan files: any finite entry point and margin, any positive
+    length, depth, increment, speed and clearance, and every option."""
+    r = random_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    plan = PlannedCut(
+        entry_point=draw(st.lists(FINITE, min_size=3, max_size=3)),
+        direction=r[:, 0],
+        depth_axis=r[:, 2],
+        length_mm=draw(POSITIVE),
+        target_depth_mm=draw(POSITIVE),
+        cutting_speed_mm_s=draw(POSITIVE),
+    )
+    policy = PassPolicy(
+        depth_increment_mm=draw(POSITIVE),
+        insertion_speed_mm_s=draw(POSITIVE),
+        retraction_speed_mm_s=draw(POSITIVE),
+        cutting_speed_mm_s=draw(st.none() | POSITIVE),
+        retract_clearance_mm=draw(POSITIVE),
+        bidirectional=draw(st.booleans()),
+    )
+    analysis = AnalysisOptions(
+        bin_count=draw(st.integers(1, MAX_BIN_COUNT)),
+        gate=GatePolicy(active_only=draw(st.booleans()), s_margin_mm=draw(FINITE)),
+        lateral_mode=draw(st.sampled_from(["lateral", "line3d"])),
+    )
+    return PlanFile(plan, policy, analysis)
+
+
+# no cutting speed of its own, bidirectional, "gating": "all" and line3d at once
+ALL_OPTIONS_PLAN = PlanFile(
+    PlannedCut([1.5, -2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0], 80.0, 6.0, 2.5),
+    PassPolicy(depth_increment_mm=2.0, bidirectional=True),
+    AnalysisOptions(bin_count=7, gate=GatePolicy(active_only=False), lateral_mode="line3d"),
+)
+
+
 class TestPlanFile:
+    @PROPERTY
+    @given(plan_files())
+    @example(ALL_OPTIONS_PLAN)
+    def test_serialize_parse_is_exact(self, pf):
+        text = serialize_plan(pf)
+        back = parse_plan(text)
+        for name in ("entry_point", "direction", "depth_axis"):
+            assert getattr(back.plan, name).tobytes() == getattr(pf.plan, name).tobytes(), name
+        for name in ("length_mm", "target_depth_mm", "cutting_speed_mm_s"):
+            assert getattr(back.plan, name) == getattr(pf.plan, name), name
+        assert back.policy == pf.policy
+        assert back.analysis == pf.analysis
+        assert serialize_plan(back) == text
+
     def test_roundtrip_fuzz(self, rng):
         for _ in range(200):
             pf = random_plan_file(rng)
