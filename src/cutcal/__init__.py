@@ -49,7 +49,6 @@ from .metrics import (
 )
 from .planner import CutSequence, PassPolicy, plan_sequence, sample_sequence
 from .pointcal import (
-    PivotDataset,
     PivotSolution,
     TipCalDataset,
     TipSolution,

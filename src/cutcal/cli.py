@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CutcalError, ParseError
 from .geometry import FrameId, RigidTransform, orthonormalize
-from .handeye import HandEyeDataset, HandEyeSolution, calibrate_hand_eye
+from .handeye import DEFAULT_MIN_ROTATION, HandEyeDataset, HandEyeSolution, calibrate_hand_eye
 from .logio import (
     _FRAME_CODE,
     PoseLog,
@@ -31,12 +31,7 @@ from .logio import (
     serialize_trajectory_log,
 )
 from .metrics import TrialLabel, build_report
-from .pointcal import (
-    PivotDataset,
-    TipCalDataset,
-    calibrate_pivot,
-    calibrate_tip_in_ee,
-)
+from .pointcal import DEFAULT_MAX_TIP_SPREAD_MM, TipCalDataset, calibrate_pivot, calibrate_tip_in_ee
 from .report import emit_report_table, parse_report, serialize_report
 from .simrig import (
     JitterModel,
@@ -101,12 +96,8 @@ def _pose_pairs(log: PoseLog, first, second) -> tuple[RigidTransform, RigidTrans
 
 
 # Each command returns the text that main writes to --output (or stdout).
-# The calibrate, analyze and report commands let numpy overflow to inf or nan
-# without a warning: dump_json or emit_report_table then rejects the result as
-# a CutcalError.
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_calibrate_handeye(args) -> str:
     log = parse_pose_log(_read(args.input))
     pairs = _pose_pairs(log, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.TOOL))
@@ -127,13 +118,12 @@ def _cmd_calibrate_handeye(args) -> str:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_calibrate_pivot(args) -> str:
     log = parse_pose_log(_read(args.input))
     rows = log.rows_of(FrameId.OT, FrameId.TOOL)
     if not len(rows):
         raise ParseError("no (OT,Tool) rows in pose log")
-    solution = calibrate_pivot(PivotDataset(log.poses(rows)))
+    solution = calibrate_pivot(log.poses(rows))
     return dump_json(
         {
             "tip_in_tool_mm": solution.tip_in_tool.tolist(),
@@ -159,7 +149,6 @@ def _load_handeye_solution(path: str) -> HandEyeSolution:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_calibrate_tip(args) -> str:
     log = parse_pose_log(_read(args.input))
     pairs = _pose_pairs(log, (FrameId.S, FrameId.EE), (FrameId.OT, FrameId.DIGITIZER))
@@ -174,7 +163,6 @@ def _cmd_calibrate_tip(args) -> str:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_analyze(args) -> str:
     plan_file = parse_plan(_read(args.plan))
     recording = parse_trajectory_log(_read(args.traj))
@@ -238,14 +226,14 @@ def _cmd_simulate(args) -> str:
             )
         text = serialize_trajectory_log(recording)
     elif args.kind == "pivot":
-        dataset = generate_pivot_dataset(
+        poses = generate_pivot_dataset(
             rig,
             args.poses,
             cone_half_angle_rad=math.radians(args.cone_deg),
             noise=noise,
             seed=args.seed,
         )
-        text = _pose_log((FrameId.OT, FrameId.TOOL, dataset.poses))
+        text = _pose_log((FrameId.OT, FrameId.TOOL, poses))
     elif args.kind == "handeye":
         he = generate_handeye_dataset(rig, args.poses, noise=noise, seed=args.seed)
         text = _pose_log((FrameId.S, FrameId.EE, he.robot), (FrameId.OT, FrameId.TOOL, he.tracker))
@@ -270,7 +258,6 @@ def _cmd_simulate(args) -> str:
     return text
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_report(args) -> str:
     reports = []
     for path in args.input:
@@ -308,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-handeye", help="solve base/tracker and EE/tool transforms")
     p.add_argument("--input", required=True, help="pose log CSV with (S,EE) and (OT,Tool) rows")
     p.add_argument("--output", help="solution JSON (default stdout)")
-    p.add_argument("--min-rotation-deg", type=_NON_NEGATIVE, default=10.0)
+    p.add_argument(
+        "--min-rotation-deg", type=_NON_NEGATIVE, default=math.degrees(DEFAULT_MIN_ROTATION)
+    )
     p.add_argument("--pairing", choices=["consecutive", "all_pairs"], default="consecutive")
     p.set_defaults(func=_cmd_calibrate_handeye)
 
@@ -320,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-tip", help="solve the tip pose in the EE frame")
     p.add_argument("--input", required=True, help="pose log CSV with (S,EE) and (OT,Digitizer) rows")
     p.add_argument("--handeye", required=True, help="hand-eye solution JSON")
-    p.add_argument("--max-spread-mm", type=_NON_NEGATIVE, default=1.0)
+    p.add_argument("--max-spread-mm", type=_NON_NEGATIVE, default=DEFAULT_MAX_TIP_SPREAD_MM)
     p.add_argument("--output", help="solution JSON (default stdout)")
     p.set_defaults(func=_cmd_calibrate_tip)
 
@@ -345,9 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracker-trans-sigma", type=_NON_NEGATIVE, default=0.0, help="mm")
     p.add_argument("--robot-rot-sigma-deg", type=_NON_NEGATIVE, default=0.0)
     p.add_argument("--robot-trans-sigma", type=_NON_NEGATIVE, default=0.0, help="mm")
-    p.add_argument("--lateral-sigma", type=_NON_NEGATIVE, default=1.1, help="muso tremor, mm")
-    p.add_argument("--depth-bias", type=_FINITE, default=3.0, help="muso over-penetration, mm")
-    p.add_argument("--depth-sigma", type=_NON_NEGATIVE, default=0.8, help="muso depth spread, mm")
+    muso = JitterModel()
+    p.add_argument(
+        "--lateral-sigma", type=_NON_NEGATIVE, default=muso.lateral_sigma_mm, help="muso tremor, mm"
+    )
+    p.add_argument(
+        "--depth-bias", type=_FINITE, default=muso.depth_bias_mm, help="muso over-penetration, mm"
+    )
+    p.add_argument(
+        "--depth-sigma", type=_NON_NEGATIVE, default=muso.depth_sigma_mm, help="muso depth spread, mm"
+    )
     p.add_argument("--output", help="log file (default stdout)")
     p.add_argument("--ground-truth-output", help="also write the rig ground truth JSON")
     p.set_defaults(func=_cmd_simulate)
@@ -371,7 +367,10 @@ def main(argv=None) -> int:
     if args.command == "simulate" and args.kind in ("handeye", "pivot") and args.poses < 3:
         parser.error(f"simulate {args.kind} needs --poses >= 3")
     try:
-        _write(args.func(args), args.output)
+        # numpy overflows to inf or nan without a warning: each command rejects
+        # a non-finite result as a CutcalError before anything is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            _write(args.func(args), args.output)
     except CutcalError as e:
         sys.stderr.write(
             json.dumps({"error": type(e).__name__, "message": str(e)}, sort_keys=True) + "\n"

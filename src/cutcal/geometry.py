@@ -69,17 +69,17 @@ def _freeze(obj, shape, *names, dtype=np.float64) -> None:
         object.__setattr__(obj, name, a)
 
 
-def _check_rotation(r: np.ndarray, atol: float = ROTATION_ATOL) -> None:
+def _check_rotation(r: np.ndarray) -> None:
     """Raise ValueError unless ``r`` is a proper rotation, or a (..., 3, 3) stack of them.
 
-    The orthonormality test is ``np.allclose(r @ r.T, I, atol=atol)`` written
-    out, so NaN fails it: |R R^T - I| <= atol + 1e-5 |I| elementwise.
+    The orthonormality test is ``np.allclose(r @ r.T, I, atol=ROTATION_ATOL)``
+    written out, so NaN fails it: |R R^T - I| <= atol + 1e-5 |I| elementwise.
     """
     if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    if not (np.abs(r @ np.swapaxes(r, -1, -2) - _EYE) <= atol + 1e-5 * _EYE).all():
+    if not (np.abs(r @ np.swapaxes(r, -1, -2) - _EYE) <= ROTATION_ATOL + 1e-5 * _EYE).all():
         raise ValueError("rotation matrix is not orthonormal")
-    if not (np.abs(np.linalg.det(r) - 1.0) <= atol).all():
+    if not (np.abs(np.linalg.det(r) - 1.0) <= ROTATION_ATOL).all():
         raise ValueError("rotation matrix is not proper (det != +1)")
 
 

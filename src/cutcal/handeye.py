@@ -41,7 +41,7 @@ from .geometry import (
 )
 
 DEFAULT_MIN_ROTATION = math.radians(10.0)
-DEFAULT_MIN_AXIS_SEPARATION = math.radians(15.0)
+MIN_AXIS_SEPARATION = math.radians(15.0)
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ def build_relative_motions(
     return RelativeMotions(a[keep], compose(dataset.tracker[j], invert(dataset.tracker[i])))
 
 
-def solve_base_to_tracker(
-    motions: RelativeMotions,
-    min_axis_separation: float = DEFAULT_MIN_AXIS_SEPARATION,
-) -> RigidTransform:
+def solve_base_to_tracker(motions: RelativeMotions) -> RigidTransform:
     """Least-squares Y from relative motions, rotation first then translation.
 
     Rotation: the axis-angle vectors of A and B are conjugate, so the
@@ -132,7 +129,7 @@ def solve_base_to_tracker(
         DegenerateConfiguration: no motion rotates (its log map is below
             1e-9 rad), a single motion whose tracker side does not, or two
             or more motions whose rotation axes are all parallel within
-            ``min_axis_separation`` (translation along the common axis is
+            ``MIN_AXIS_SEPARATION`` (translation along the common axis is
             unobservable).
     """
     if not len(motions):
@@ -151,7 +148,7 @@ def solve_base_to_tracker(
             raise DegenerateConfiguration("the tracker side of the one motion does not rotate")
         r_y = rotation_between_vectors(rotvecs_b[0], rotvecs_a[0])
     else:
-        if not lines_spread_at_least(rotvecs_a[moved] / norms[moved, None], min_axis_separation):
+        if not lines_spread_at_least(rotvecs_a[moved] / norms[moved, None], MIN_AXIS_SEPARATION):
             raise DegenerateConfiguration(
                 "rotation axes of all relative motions are (near-)parallel"
             )
@@ -200,12 +197,11 @@ def closure_residuals(
 def calibrate_hand_eye(
     dataset: HandEyeDataset,
     min_rotation: float = DEFAULT_MIN_ROTATION,
-    min_axis_separation: float = DEFAULT_MIN_AXIS_SEPARATION,
     pairing: str = "consecutive",
 ) -> HandEyeSolution:
     """Run both stages and report RMS loop-closure residuals."""
     motions = build_relative_motions(dataset, min_rotation=min_rotation, pairing=pairing)
-    y = solve_base_to_tracker(motions, min_axis_separation=min_axis_separation)
+    y = solve_base_to_tracker(motions)
     x = solve_ee_to_tool(dataset, y)
     rot, trans = closure_residuals(dataset, y, x)
     return HandEyeSolution(

@@ -185,7 +185,7 @@ def sample_sequence(seq: CutSequence, rate_hz: float) -> TrajectoryRecording:
 
     Raises:
         CutcalError: the sequence needs more than MAX_SAMPLE_COUNT samples,
-            or a number that is not finite.
+            a number that is not finite, or none (every move takes no time).
     """
     if rate_hz <= 0:
         raise ValueError("sampling rate must be positive")
@@ -220,7 +220,7 @@ def sample_sequence(seq: CutSequence, rate_hz: float) -> TrajectoryRecording:
         t0 += duration
         first = False
     if not times:
-        raise ValueError("sequence has no segments with positive duration")
+        raise CutcalError("every move of the sequence takes zero time")
     return TrajectoryRecording(
         np.concatenate(times), np.vstack(points), np.concatenate(active)
     )

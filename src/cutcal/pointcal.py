@@ -35,19 +35,9 @@ from .geometry import (
 )
 from .handeye import HandEyeSolution
 
-DEFAULT_MIN_ROTATION_SPREAD = math.radians(20.0)
-DEFAULT_MIN_AXIS_SPREAD = math.radians(5.0)
+MIN_ROTATION_SPREAD = math.radians(20.0)
+MIN_AXIS_SPREAD = math.radians(5.0)
 DEFAULT_MAX_TIP_SPREAD_MM = 1.0
-
-
-@dataclass(frozen=True)
-class PivotDataset:
-    """Tracker poses ``tracker_from_tool`` while pivoting, one stack, translations in mm."""
-
-    poses: RigidTransform
-
-    def __len__(self) -> int:
-        return len(self.poses)
 
 
 @dataclass(frozen=True)
@@ -91,50 +81,47 @@ class TipCalDataset:
         return len(self.robot)
 
 
-def pivot_residuals(dataset: PivotDataset, solution: PivotSolution) -> np.ndarray:
+def pivot_residuals(poses: RigidTransform, solution: PivotSolution) -> np.ndarray:
     """Per-pose distances between the predicted tip and the divot, mm."""
-    predicted = transform_point(dataset.poses, solution.tip_in_tool)
+    predicted = transform_point(poses, solution.tip_in_tool)
     return _norms(predicted - solution.divot_in_tracker)
 
 
-def calibrate_pivot(
-    dataset: PivotDataset,
-    min_rotation_spread: float = DEFAULT_MIN_ROTATION_SPREAD,
-    min_axis_spread: float = DEFAULT_MIN_AXIS_SPREAD,
-) -> PivotSolution:
-    """Solve the stacked pivot system for tip offset and divot location.
+def calibrate_pivot(poses: RigidTransform) -> PivotSolution:
+    """Solve the stacked pivot system for tip offset and divot location from
+    the tracker poses ``tracker_from_tool`` taken while pivoting, one stack.
 
     Raises:
         DegenerateConfiguration: fewer than 3 poses, poses too close
-            together (max pairwise rotation below ``min_rotation_spread``),
+            together (max pairwise rotation below ``MIN_ROTATION_SPREAD``),
             all rotations about one common axis (tip offset along that axis
             is unobservable), or a rank-deficient stack.
     """
-    n = len(dataset)
+    n = len(poses)
     if n < 3:
         raise DegenerateConfiguration(f"pivot calibration needs >= 3 poses, got {n}")
 
-    rotations, translations = dataset.poses.rotation, dataset.poses.translation
+    rotations, translations = poses.rotation, poses.translation
     # one row of pairs at a time, stopping at the first row that reaches the
     # bound: the full n(n-1)/2 stack would cost memory, and only a failure
     # needs the largest angle, for its message
     spread = 0.0
     for i in range(n - 1):
         spread = max(spread, rotation_angle_between(rotations[i], rotations[i + 1 :]).max())
-        if spread >= min_rotation_spread:
+        if spread >= MIN_ROTATION_SPREAD:
             break
     else:
         raise DegenerateConfiguration(
             f"rotation spread {math.degrees(spread):.2f} deg below "
-            f"{math.degrees(min_rotation_spread):.1f} deg"
+            f"{math.degrees(MIN_ROTATION_SPREAD):.1f} deg"
         )
 
     # all rotations about one common axis leave the along-axis tip component free
-    rotvecs = rotvec_from_rotation(compose(dataset.poses[1:], invert(dataset.poses[0])).rotation)
+    rotvecs = rotvec_from_rotation(compose(poses[1:], invert(poses[0])).rotation)
     norms = _norms(rotvecs)
     moved = norms > 1e-9
     axes = rotvecs[moved] / norms[moved, None]
-    if moved.any() and not lines_spread_at_least(axes, min_axis_spread):
+    if moved.any() and not lines_spread_at_least(axes, MIN_AXIS_SPREAD):
         raise DegenerateConfiguration("all pivot rotations share one rotation axis")
 
     a = np.concatenate([rotations, np.broadcast_to(-np.eye(3), (n, 3, 3))], axis=2)
@@ -143,7 +130,7 @@ def calibrate_pivot(
         raise DegenerateConfiguration("pivot system is rank-deficient")
 
     solution = PivotSolution(tip_in_tool=x[:3], divot_in_tracker=x[3:], rms_residual_mm=0.0)
-    residuals = pivot_residuals(dataset, solution)
+    residuals = pivot_residuals(poses, solution)
     return replace(solution, rms_residual_mm=float(np.sqrt(np.mean(residuals**2))))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CutcalError
 from .geometry import (
     RigidTransform,
     _freeze,
@@ -35,7 +36,15 @@ from .geometry import (
 from .handeye import HandEyeDataset, HandEyeSolution
 from .metrics import PlannedCut, TrajectoryRecording
 from .planner import PassPolicy, _build_passes, plan_sequence, sample_sequence
-from .pointcal import PivotDataset, PivotSolution, TipCalDataset
+from .pointcal import PivotSolution, TipCalDataset
+
+# robot stations lie about this center, the hand-eye ones in a cube of this edge
+WORKSPACE_CENTER_MM = (600.0, 0.0, 500.0)
+WORKSPACE_EXTENT_MM = 300.0
+# consecutive hand-eye stations: the least relative rotation and axis separation
+STATION_MIN_REL_ANGLE = math.radians(20.0)
+STATION_MIN_AXIS_SEP = math.radians(20.0)
+TREMOR_CORRELATION_TIME_S = 0.8  # manual tremor and floor roughness
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,7 @@ class JitterModel:
     """Hand-held operator behavior for manual trials.
 
     Lateral deviation is a stationary first-order autoregressive process
-    (tremor is temporally correlated); depth control errs by a per-trial
+    (tremor is correlated over TREMOR_CORRELATION_TIME_S); depth control errs by a per-trial
     over-penetration draw plus small correlated floor roughness. Defaults
     are calibrated to typical manual-osteotomy summary statistics.
     """
@@ -106,7 +115,6 @@ class JitterModel:
     lateral_sigma_mm: float = 1.1
     depth_bias_mm: float = 3.0
     depth_sigma_mm: float = 0.8
-    correlation_time_s: float = 0.8
     pass_count_range: tuple[int, int] = (3, 6)
     speed_mean_mm_s: float = 1.7
     speed_sigma_mm_s: float = 0.15
@@ -114,8 +122,6 @@ class JitterModel:
     def __post_init__(self):
         if min(self.lateral_sigma_mm, self.depth_sigma_mm, self.speed_sigma_mm_s) < 0:
             raise ValueError("jitter sigmas must be non-negative")
-        if self.correlation_time_s <= 0:
-            raise ValueError("correlation time must be positive")
         lo, hi = self.pass_count_range
         if not (1 <= lo <= hi):
             raise ValueError("pass_count_range must satisfy 1 <= lo <= hi")
@@ -140,6 +146,8 @@ def _perturb(rotations, translations, sigmas, normals):
         rotations = rotations @ rotation_about_axis(wobble, _norms(wobble))
     if trans_sigma_mm > 0:
         translations = translations + draws[:, -1]
+    if not (np.isfinite(rotations).all() and np.isfinite(translations).all()):
+        raise CutcalError("the noise overflows a simulated pose")
     return rotations, translations
 
 
@@ -175,15 +183,31 @@ def _diverse_rotations(
     return rotations
 
 
+def _observed_stations(gt: RigGroundTruth, n: int, noise: NoiseModel, rng, draw, marker):
+    """Robot stations ``base_from_ee`` and the tracker pose of ``marker``, a
+    pose in the EE frame, at each (``invert(Y) . robot . marker``), both
+    perturbed per the noise model. Station by station, ``draw(k)`` gives the
+    robot rotation and its offset from WORKSPACE_CENTER_MM, then come the
+    robot noise and the tracker noise."""
+    robot_sigmas = (noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm)
+    tracker_sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
+    rotations, offsets, robot_normals, tracker_normals = map(np.array, zip(*[
+        (*draw(k), _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas)) for k in range(n)
+    ]))
+    translations = np.asarray(WORKSPACE_CENTER_MM) + offsets
+    tracker = compose(
+        compose(invert(gt.base_from_tracker), RigidTransform(rotations, translations)), marker
+    )
+    return (
+        RigidTransform(*_perturb(rotations, translations, robot_sigmas, robot_normals)),
+        RigidTransform(
+            *_perturb(tracker.rotation, tracker.translation, tracker_sigmas, tracker_normals)
+        ),
+    )
+
+
 def generate_handeye_dataset(
-    gt: RigGroundTruth,
-    n: int,
-    noise: NoiseModel = NoiseModel(),
-    seed: int = 0,
-    workspace_center=(600.0, 0.0, 500.0),
-    workspace_extent_mm: float = 300.0,
-    min_rel_angle: float = math.radians(20.0),
-    min_axis_sep: float = math.radians(20.0),
+    gt: RigGroundTruth, n: int, noise: NoiseModel = NoiseModel(), seed: int = 0
 ) -> HandEyeDataset:
     """Robot stations across the workspace with the matching tracker poses.
 
@@ -193,25 +217,12 @@ def generate_handeye_dataset(
     if n < 3:
         raise ValueError("hand-eye generation needs n >= 3 stations")
     rng = np.random.default_rng(seed)
-    rotations = np.array(_diverse_rotations(rng, n, min_rel_angle, min_axis_sep))
-    robot_sigmas = (noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm)
-    tracker_sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
-    # station by station: the offset, the robot noise, the tracker noise
-    offsets, robot_normals, tracker_normals = map(np.array, zip(*[
-        (rng.uniform(-0.5, 0.5, 3), _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas))
-        for _ in range(n)
-    ]))
-    translations = np.asarray(workspace_center) + offsets * workspace_extent_mm
-    tracker = compose(
-        compose(invert(gt.base_from_tracker), RigidTransform(rotations, translations)),
+    rotations = _diverse_rotations(rng, n, STATION_MIN_REL_ANGLE, STATION_MIN_AXIS_SEP)
+    return HandEyeDataset(*_observed_stations(
+        gt, n, noise, rng,
+        lambda k: (rotations[k], rng.uniform(-0.5, 0.5, 3) * WORKSPACE_EXTENT_MM),
         gt.ee_from_tool,
-    )
-    return HandEyeDataset(
-        RigidTransform(*_perturb(rotations, translations, robot_sigmas, robot_normals)),
-        RigidTransform(
-            *_perturb(tracker.rotation, tracker.translation, tracker_sigmas, tracker_normals)
-        ),
-    )
+    ))
 
 
 def generate_pivot_dataset(
@@ -220,8 +231,9 @@ def generate_pivot_dataset(
     cone_half_angle_rad: float,
     noise: NoiseModel = NoiseModel(),
     seed: int = 0,
-) -> PivotDataset:
-    """Tool poses pivoting about the divot: exact before noise injection."""
+) -> RigidTransform:
+    """Tool poses ``tracker_from_tool`` pivoting about the divot, one stack:
+    exact before noise injection."""
     if n < 3:
         raise ValueError("pivot generation needs n >= 3 poses")
     if cone_half_angle_rad < 0:
@@ -236,44 +248,24 @@ def generate_pivot_dataset(
     axes /= _norms(axes)[:, None]
     r = nominal @ rotation_about_axis(axes, cone_half_angle_rad * fractions)
     translations = gt.divot_in_tracker - (r @ gt.tip_in_tool[:, None])[..., 0]
-    return PivotDataset(RigidTransform(*_perturb(r, translations, sigmas, normals)))
+    return RigidTransform(*_perturb(r, translations, sigmas, normals))
 
 
 def generate_tipcal_dataset(
-    gt: RigGroundTruth,
-    n: int,
-    noise: NoiseModel = NoiseModel(),
-    seed: int = 0,
-    workspace_center=(600.0, 0.0, 500.0),
+    gt: RigGroundTruth, n: int, noise: NoiseModel = NoiseModel(), seed: int = 0
 ) -> TipCalDataset:
     """Digitizer-at-tip samples under varying robot orientations."""
     if n < 1:
         raise ValueError("tip calibration generation needs n >= 1 samples")
     rng = np.random.default_rng(seed)
     # true tip pose in the EE frame: marker-body pose chained with the tip offset
-    ee_from_tip = compose(
-        gt.ee_from_tool, RigidTransform(np.eye(3), gt.tip_in_tool)
-    )
-    robot_sigmas = (noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm)
-    tracker_sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
-    # sample by sample: the orientation, the offset, the robot noise, the tracker noise
-    quats, offsets, robot_normals, tracker_normals = map(np.array, zip(*[
-        (rng.normal(size=4), rng.uniform(-150.0, 150.0, 3),
-         _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas))
-        for _ in range(n)
-    ]))
-    rotations, translations = rotation_from_quat(quats), np.asarray(workspace_center) + offsets
-    digitizer = compose(
-        compose(invert(gt.base_from_tracker), RigidTransform(rotations, translations)),
+    ee_from_tip = compose(gt.ee_from_tool, RigidTransform(np.eye(3), gt.tip_in_tool))
+    robot, digitizer = _observed_stations(
+        gt, n, noise, rng,
+        lambda _: (random_rotation(rng), rng.uniform(-150.0, 150.0, 3)),
         ee_from_tip,
     )
-    return TipCalDataset(
-        RigidTransform(*_perturb(rotations, translations, robot_sigmas, robot_normals)),
-        RigidTransform(
-            *_perturb(digitizer.rotation, digitizer.translation, tracker_sigmas, tracker_normals)
-        ),
-        gt.hand_eye_solution(),
-    )
+    return TipCalDataset(robot, digitizer, gt.hand_eye_solution())
 
 
 def synthesize_ruso_trial(
@@ -309,6 +301,13 @@ def synthesize_ruso_trial(
     # r_tool is orthonormal only to the plan's 1e-6 tolerance, so the measured
     # tool poses need not pass the RigidTransform check: map their tip by hand
     points = transform_point(gt.base_from_tracker, rotations @ gt.tip_in_tool + translations)
+    return _noisy(nominal, points)
+
+
+def _noisy(nominal: TrajectoryRecording, points: np.ndarray) -> TrajectoryRecording:
+    """The nominal recording with its points replaced by the noisy ``points``."""
+    if not np.isfinite(points).all():
+        raise CutcalError("the noise overflows a simulated sample")
     return TrajectoryRecording(nominal.timestamps, points, nominal.tool_active)
 
 
@@ -357,13 +356,13 @@ def synthesize_muso_trial(
     depths = final_depth * np.arange(1, n_passes + 1) / n_passes
     nominal = sample_sequence(_build_passes(plan, depths, speeds, speeds), rate_hz)
 
-    lateral = _ar1(nominal.timestamps, jitter.lateral_sigma_mm, jitter.correlation_time_s, rng)
+    lateral = _ar1(nominal.timestamps, jitter.lateral_sigma_mm, TREMOR_CORRELATION_TIME_S, rng)
     roughness = _ar1(
-        nominal.timestamps, 0.25 * jitter.depth_sigma_mm, jitter.correlation_time_s, rng
+        nominal.timestamps, 0.25 * jitter.depth_sigma_mm, TREMOR_CORRELATION_TIME_S, rng
     )
     points = (
         nominal.points
         + lateral[:, None] * plan.lateral_axis
         + roughness[:, None] * plan.depth_axis
     )
-    return TrajectoryRecording(nominal.timestamps, points, nominal.tool_active)
+    return _noisy(nominal, points)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,8 @@ def bad_inputs(tmp_path_factory):
     (d / "plan_deep.json").write_text(
         json.dumps({**plan, "target_depth_mm": 1e6, "pass_policy": {"depth_increment_mm": 1e-3}})
     )
+    # so far from the origin that every move rounds to zero length
+    (d / "plan_far.json").write_text(json.dumps({**plan, "entry_point": [1e20, 1e20, 1e20]}))
     (d / "deep.json").write_text("[" * 100_000)
     huge = {**solution["base_from_tracker"], "translation_mm": [10**400, 0, 0]}
     (d / "he_huge_int.json").write_text(json.dumps({**solution, "base_from_tracker": huge}))
@@ -318,6 +321,27 @@ CLI_ERROR_CASES = [
                  "InvalidPolicy", "takes over 1666666 passes", id="ruso-deep-plan"),
     pytest.param("simulate muso --plan {d}/plan.json --rate 1e300", 1,
                  "CutcalError", "samples, over 10000000", id="muso-huge-rate"),
+    pytest.param("simulate ruso --plan {d}/plan_far.json --output {d}/far.csv", 1,
+                 "CutcalError", "every move of the sequence takes zero time", id="ruso-far-plan"),
+    pytest.param("simulate muso --plan {d}/plan_far.json", 1,
+                 "CutcalError", "every move of the sequence takes zero time", id="muso-far-plan"),
+    pytest.param("simulate pivot --poses 3 --seed 3 --tracker-trans-sigma 1e308", 1,
+                 "CutcalError", "the noise overflows a simulated pose", id="pivot-noise-overflow"),
+    *[pytest.param(f"simulate handeye --poses 15 --seed {seed} --tracker-trans-sigma 1e308", 1,
+                   "CutcalError", "the noise overflows a simulated pose",
+                   id=f"handeye-noise-overflow-{seed}") for seed in range(6)],
+    pytest.param("simulate tipcal --poses 5 --robot-trans-sigma 1e308 --output {d}/tip_inf.csv"
+                 " --ground-truth-output {d}/tip_inf_gt.json", 1,
+                 "CutcalError", "the noise overflows a simulated pose", id="tipcal-noise-overflow"),
+    pytest.param("simulate pivot --poses 3 --tracker-rot-sigma-deg 1e308", 1,
+                 "CutcalError", "the noise overflows a simulated pose",
+                 id="pivot-rotation-noise-overflow"),
+    pytest.param("simulate ruso --plan {d}/plan.json --rate 1 --tracker-trans-sigma 1e308", 1,
+                 "CutcalError", "the noise overflows a simulated pose", id="ruso-noise-overflow"),
+    pytest.param("simulate muso --plan {d}/plan.json --rate 1 --lateral-sigma 1e308", 1,
+                 "CutcalError", "the noise overflows a simulated sample", id="muso-jitter-overflow"),
+    pytest.param("simulate muso --plan {d}/plan.json --depth-bias 1e308", 1,
+                 "CutcalError", "inf samples, over 10000000", id="muso-depth-bias-overflow"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",
@@ -349,8 +373,12 @@ def test_bad_input_or_flag_exits_without_traceback(bad_inputs, capsys, argv, cod
         assert err.startswith("usage: cutcal") and fragment in err
     else:
         assert main(args) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.count("\n") == 1 and err.endswith("\n")  # one JSON line, no warning
+        assert out == ""
+        for flag in ("--output", "--ground-truth-output"):
+            if flag in args:
+                assert not Path(args[args.index(flag) + 1]).exists(), flag
         diagnostic = json.loads(err)
         assert diagnostic["error"] == error
         assert fragment in diagnostic["message"]

@@ -30,7 +30,7 @@ from cutcal.handeye import HandEyeDataset
 from cutcal.logio import PoseLog
 from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
 from cutcal.planner import CutSequence
-from cutcal.pointcal import PivotDataset, PivotSolution, TipCalDataset
+from cutcal.pointcal import PivotSolution, TipCalDataset
 from cutcal.simrig import RigGroundTruth, random_rotation
 
 
@@ -272,7 +272,6 @@ def _value_types():
          ("timestamps", "sources", "targets", "quats_wxyz", "translations")),
         (HandEyeDataset(one, RigidTransform(np.eye(3)[None], np.ones((1, 3)))),
          ("robot.rotation", "robot.translation", "tracker.rotation", "tracker.translation")),
-        (PivotDataset(one), ("poses.rotation", "poses.translation")),
         (TipCalDataset(one, one, RigGroundTruth.random(0).hand_eye_solution()),
          ("robot.rotation", "robot.translation", "digitizer.rotation", "digitizer.translation")),
         (RigidTransform.identity(), ("rotation", "translation")),

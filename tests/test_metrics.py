@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rigid
 from cutcal.errors import EmptyAfterGating, EmptyInput, EmptyProfile
@@ -153,17 +155,21 @@ class TestTrajectoryRmse:
         rmse = trajectory_rmse(perpendicular_errors(rec, plan))
         assert abs(rmse - 0.11) < 0.01
 
-    def test_rigid_invariance(self, rng):
-        plan = xz_plan()
-        for _ in range(100):
-            pts = np.column_stack(
-                [rng.uniform(0, 100, 20), rng.normal(0, 1, 20), rng.normal(0, 2, 20)]
-            )
-            rec = TrajectoryRecording(np.arange(20.0), pts, np.ones(20, bool))
-            base = trajectory_rmse(perpendicular_errors(rec, plan))
-            g = random_rigid(rng)
-            moved = trajectory_rmse(perpendicular_errors(rec.transformed(g), plan.transformed(g)))
-            assert abs(base - moved) < 1e-9
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 100.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+            min_size=2,
+            max_size=40,
+        ),
+        st.integers(0, 2**32 - 1).map(lambda seed: random_rigid(np.random.default_rng(seed), 1e3)),
+    )
+    def test_rigid_invariance(self, points, g):
+        plan = xz_plan()  # x runs along the cut: every sample is in the gate
+        rec = TrajectoryRecording(np.arange(len(points), dtype=float), points, [True] * len(points))
+        base = trajectory_rmse(perpendicular_errors(rec, plan))
+        moved = trajectory_rmse(perpendicular_errors(rec.transformed(g), plan.transformed(g)))
+        assert abs(base - moved) < 1e-9
 
 
 class TestExecutedLength:

@@ -14,7 +14,6 @@ from cutcal.geometry import (
 )
 from cutcal.handeye import HandEyeSolution
 from cutcal.pointcal import (
-    PivotDataset,
     PivotSolution,
     TipCalDataset,
     calibrate_pivot,
@@ -51,7 +50,7 @@ class TestCalibratePivot:
     def test_identical_poses_degenerate(self, rng):
         pose = random_rigid(rng)
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(stack([pose] * 4)))
+            calibrate_pivot(stack([pose] * 4))
 
     def test_single_axis_pivot_degenerate(self, rng):
         # rotations about one line through the divot leave the tip's
@@ -63,11 +62,11 @@ class TestCalibratePivot:
             r = rotation_about_axis([0.0, 1.0, 0.0], math.radians(15.0 * k))
             poses.append(RigidTransform(r, divot - r @ tip))
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(stack(poses)))
+            calibrate_pivot(stack(poses))
 
     def test_too_few_poses(self, rng):
         with pytest.raises(DegenerateConfiguration):
-            calibrate_pivot(PivotDataset(stack([random_rigid(rng), random_rigid(rng)])))
+            calibrate_pivot(stack([random_rigid(rng), random_rigid(rng)]))
 
     def test_noisy_monte_carlo_tip_error(self):
         gt = fixed_tip_rig(3)
@@ -90,7 +89,7 @@ class TestCalibratePivot:
                     + pose.translation
                     - solution.divot_in_tracker
                 )
-                for pose in dataset.poses
+                for pose in dataset
             ]
         )
         assert abs(solution.rms_residual_mm - math.sqrt(np.mean(per_pose**2))) < 1e-12
@@ -101,7 +100,7 @@ class TestCalibratePivot:
             gt, 20, math.radians(30), NoiseModel(tracker_trans_sigma_mm=0.05), seed=7
         )
         g = random_rigid(rng)
-        moved = PivotDataset(stack([compose(g, p) for p in dataset.poses]))
+        moved = stack([compose(g, p) for p in dataset])
         original = calibrate_pivot(dataset)
         reexpressed = calibrate_pivot(moved)
         np.testing.assert_allclose(reexpressed.tip_in_tool, original.tip_in_tool, atol=1e-8)
@@ -122,7 +121,7 @@ class TestCalibratePivot:
             for a in angles
         ]
         with pytest.raises(DegenerateConfiguration, match="rotation spread 5.00 deg below 20.0"):
-            calibrate_pivot(PivotDataset(stack(poses)))
+            calibrate_pivot(stack(poses))
 
     def test_5000_poses_run_in_bounded_memory(self):
         gt = fixed_tip_rig(9)

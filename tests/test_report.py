@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutcal.errors import EmptyInput, ParseError
 from cutcal.metrics import CutProfile, MetricsReport, TrialLabel
 from cutcal.report import (
     emit_report_table,
     parse_report,
-    report_from_dict,
     report_to_dict,
     serialize_report,
     summarize_sets,
@@ -86,18 +87,60 @@ class TestEmitFormats:
             emit_report_table([make_report()], format="yaml")
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def reports(draw) -> MetricsReport:
+    """Valid reports: any label, finite numbers (non-negative metrics) and
+    profiles with any mix of depths and NaN bins."""
+    bin_count = draw(st.integers(1, 40))
+    return MetricsReport(
+        trial_label=TrialLabel(
+            draw(st.from_regex(r"[A-Za-z]+[0-9]*", fullmatch=True)), draw(st.integers(0, 10**9))
+        ),
+        target_depth_mm=draw(FINITE),
+        cutting_speed_mm_s=draw(FINITE),
+        rmse_mm=draw(NON_NEGATIVE),
+        executed_length_mm=draw(NON_NEGATIVE),
+        procedure_time_s=draw(NON_NEGATIVE),
+        mean_depth_mm=draw(NON_NEGATIVE),
+        mean_depth_strict_mm=draw(NON_NEGATIVE),
+        profile=CutProfile(
+            bin_count,
+            draw(FINITE),
+            draw(st.lists(st.just(math.nan) | FINITE, min_size=bin_count, max_size=bin_count)),
+            draw(FINITE),
+        ),
+    )
+
+
+def float_bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
 class TestReportSerialization:
-    def test_roundtrip_preserves_values_and_nans(self):
-        report = make_report()
-        back = report_from_dict(report_to_dict(report))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(reports())
+    @example(make_report())
+    def test_roundtrip_preserves_values_and_nans(self, report):
+        text = serialize_report(report)
+        (back,) = parse_report(text)
         assert back.trial_label == report.trial_label
-        assert back.rmse_mm == report.rmse_mm
-        assert back.mean_depth_mm == report.mean_depth_mm
-        np.testing.assert_array_equal(
-            np.isnan(back.profile.depths_mm), np.isnan(report.profile.depths_mm)
-        )
-        mask = ~np.isnan(report.profile.depths_mm)
-        np.testing.assert_array_equal(back.profile.depths_mm[mask], report.profile.depths_mm[mask])
+        for name in (
+            "target_depth_mm", "cutting_speed_mm_s", "rmse_mm", "executed_length_mm",
+            "procedure_time_s", "mean_depth_mm", "mean_depth_strict_mm",
+        ):
+            assert float_bits(getattr(back, name)) == float_bits(getattr(report, name)), name
+        got, want = back.profile, report.profile
+        assert got.bin_count == want.bin_count
+        assert float_bits(got.bin_width_mm) == float_bits(want.bin_width_mm)
+        assert float_bits(got.coverage) == float_bits(want.coverage)
+        missing = np.isnan(want.depths_mm)
+        np.testing.assert_array_equal(np.isnan(got.depths_mm), missing)
+        assert got.depths_mm[~missing].tobytes() == want.depths_mm[~missing].tobytes()
+        assert serialize_report(back) == text
 
     def test_parse_report_accepts_single_and_list(self):
         single = serialize_report(make_report())

@@ -141,8 +141,7 @@ def test_stacked_generator_equals_the_per_pose_loop(kind, n, noise):
             got = (ds.robot, ds.tracker)
             want = per_pose_handeye(gt, n, noise, seed)
         elif kind == "pivot":
-            ds = generate_pivot_dataset(gt, n, math.radians(30.0), noise, seed=seed)
-            got = (ds.poses,)
+            got = (generate_pivot_dataset(gt, n, math.radians(30.0), noise, seed=seed),)
             want = per_pose_pivot(gt, n, math.radians(30.0), noise, seed)
         else:
             ds = generate_tipcal_dataset(gt, n, noise, seed=seed)
