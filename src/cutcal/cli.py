@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -285,8 +286,17 @@ _COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
 _SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose negative-number pattern also takes exponent
+    notation: argparse's own reads a value such as ``-2e0`` as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutcal",
         description="Calibration and cut-trajectory analysis for tracked osteotomy tools.",
     )

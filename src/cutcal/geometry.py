@@ -124,27 +124,6 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_matrix(cls, m, project: bool = False) -> RigidTransform:
-        """Build from a 4x4 homogeneous matrix.
-
-        ``project=True`` replaces the rotation block with its nearest proper
-        rotation; use it when reading external data, never mid-computation.
-        """
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
-            raise ValueError("last row must be [0, 0, 0, 1]")
-        r = m[:3, :3]
-        if project:
-            r = orthonormalize(r)
-        return cls(r, m[:3, 3])
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform:
-        return cls(rotation_about_axis(axis, angle_rad), np.asarray(translation, dtype=np.float64))
-
-    @classmethod
     def from_quat_wxyz(cls, quat, translation) -> RigidTransform:
         """Build from a unit quaternion (w, x, y, z); normalized exactly."""
         return cls(orthonormalize(rotation_from_quat(quat)), translation)

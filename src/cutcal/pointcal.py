@@ -168,11 +168,12 @@ def calibrate_tip_in_ee(
 def tip_position_in_base(
     hand_eye: HandEyeSolution, tracker_pose: RigidTransform, pivot: PivotSolution
 ) -> np.ndarray:
-    """Tool-tip position in the robot base frame from one tracker measurement.
+    """Tool-tip position in the robot base frame from one tracker measurement
+    ``tracker_from_tool``, or (N, 3) positions from a stack of them.
 
     This is the point stream that trajectory recordings are built from:
     base_from_tracker . tracker_from_tool applied to the pivot tip offset.
     """
     return transform_point(
-        compose(hand_eye.base_from_tracker, tracker_pose), pivot.tip_in_tool
+        hand_eye.base_from_tracker, transform_point(tracker_pose, pivot.tip_in_tool)
     )

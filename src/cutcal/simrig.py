@@ -3,9 +3,10 @@ ground truth, plus generators for noisy calibration datasets and synthetic
 cutting trials.
 
 Robotic trials run the real planner and push every sample through the full
-measurement chain (tool pose seen by the tracker, perturbed, reconstructed
-via the calibrated transforms), so tracker noise propagates exactly the way
-it would on hardware. Manual-operator trials replace the planner's perfect
+measurement chain: the tool pose the tracker sees is perturbed, then the tip
+is reconstructed with ``pointcal.tip_position_in_base`` through the rig's
+exact hand-eye and pivot solutions, so tracker noise propagates exactly the
+way it would on hardware. Manual-operator trials replace the planner's perfect
 tracking with temporally correlated jitter and an over-penetration draw.
 
 All generators take an explicit seed and are deterministic given it.
@@ -27,6 +28,7 @@ from .geometry import (
     compose,
     invert,
     lines_spread_at_least,
+    orthonormalize,
     rotation_about_axis,
     rotation_angle,
     rotation_from_quat,
@@ -36,7 +38,7 @@ from .geometry import (
 from .handeye import HandEyeDataset, HandEyeSolution
 from .metrics import PlannedCut, TrajectoryRecording
 from .planner import PassPolicy, _build_passes, plan_sequence, sample_sequence
-from .pointcal import PivotSolution, TipCalDataset
+from .pointcal import PivotSolution, TipCalDataset, tip_position_in_base
 
 # robot stations lie about this center, the hand-eye ones in a cube of this edge
 WORKSPACE_CENTER_MM = (600.0, 0.0, 500.0)
@@ -134,13 +136,14 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return rotation_from_quat(rng.normal(size=4))
 
 
-def _perturb(rotations, translations, sigmas, normals):
-    """Tangent-space noise on stacked poses: right-multiplied rotation wobble,
+def _perturb(poses: RigidTransform, sigmas, normals) -> RigidTransform:
+    """Tangent-space noise on a pose stack: right-multiplied rotation wobble,
     additive translation. ``sigmas`` is (rotation rad, translation mm), and
     ``normals`` (N, k, 3) holds one row of standard normals per positive
     sigma, rotation first (see _normals)."""
     rot_sigma_rad, trans_sigma_mm = sigmas
     draws = normals * np.reshape([sigma for sigma in sigmas if sigma > 0], (-1, 1))
+    rotations, translations = poses.rotation, poses.translation
     if rot_sigma_rad > 0:
         wobble = draws[:, 0]
         rotations = rotations @ rotation_about_axis(wobble, _norms(wobble))
@@ -148,7 +151,7 @@ def _perturb(rotations, translations, sigmas, normals):
         translations = translations + draws[:, -1]
     if not (np.isfinite(rotations).all() and np.isfinite(translations).all()):
         raise CutcalError("the noise overflows a simulated pose")
-    return rotations, translations
+    return RigidTransform(rotations, translations)
 
 
 def _normals(rng: np.random.Generator, sigmas, *n: int):
@@ -194,15 +197,11 @@ def _observed_stations(gt: RigGroundTruth, n: int, noise: NoiseModel, rng, draw,
     rotations, offsets, robot_normals, tracker_normals = map(np.array, zip(*[
         (*draw(k), _normals(rng, robot_sigmas), _normals(rng, tracker_sigmas)) for k in range(n)
     ]))
-    translations = np.asarray(WORKSPACE_CENTER_MM) + offsets
-    tracker = compose(
-        compose(invert(gt.base_from_tracker), RigidTransform(rotations, translations)), marker
-    )
+    robot = RigidTransform(rotations, np.asarray(WORKSPACE_CENTER_MM) + offsets)
+    tracker = compose(compose(invert(gt.base_from_tracker), robot), marker)
     return (
-        RigidTransform(*_perturb(rotations, translations, robot_sigmas, robot_normals)),
-        RigidTransform(
-            *_perturb(tracker.rotation, tracker.translation, tracker_sigmas, tracker_normals)
-        ),
+        _perturb(robot, robot_sigmas, robot_normals),
+        _perturb(tracker, tracker_sigmas, tracker_normals),
     )
 
 
@@ -248,7 +247,7 @@ def generate_pivot_dataset(
     axes /= _norms(axes)[:, None]
     r = nominal @ rotation_about_axis(axes, cone_half_angle_rad * fractions)
     translations = gt.divot_in_tracker - (r @ gt.tip_in_tool[:, None])[..., 0]
-    return RigidTransform(*_perturb(r, translations, sigmas, normals))
+    return _perturb(RigidTransform(r, translations), sigmas, normals)
 
 
 def generate_tipcal_dataset(
@@ -279,29 +278,30 @@ def synthesize_ruso_trial(
     """Robotic trial: planner output pushed through the noisy tracker chain.
 
     The nominal tip path is converted per sample into the tool pose the
-    tracker would see, perturbed per the noise model, and reconstructed
-    into a tip position through the calibrated transforms.
+    tracker would see, perturbed per the noise model, and reconstructed into
+    a tip position by ``tip_position_in_base`` through the rig's exact
+    hand-eye and pivot solutions.
     """
     rng = np.random.default_rng(seed)
     nominal = sample_sequence(plan_sequence(plan, policy), rate_hz)
     if noise.tracker_rot_sigma_rad == 0 and noise.tracker_trans_sigma_mm == 0:
         return nominal
     tracker_from_base = invert(gt.base_from_tracker)
-    # tool orientation: blade along the cut, z down the depth axis; right-handed
-    r_tool = np.column_stack(
+    # tool orientation: blade along the cut, z down the depth axis; right-handed.
+    # The plan's axes are orthonormal only to its 1e-6 tolerance: project once
+    r_tool = orthonormalize(np.column_stack(
         [plan.direction, np.cross(plan.depth_axis, plan.direction), plan.depth_axis]
+    ))
+    n = len(nominal.points)
+    tracker_from_tool = RigidTransform(
+        np.broadcast_to(tracker_from_base.rotation @ r_tool, (n, 3, 3)),
+        transform_point(tracker_from_base, nominal.points - r_tool @ gt.tip_in_tool),
     )
     sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
-    rotations, translations = _perturb(
-        np.broadcast_to(tracker_from_base.rotation @ r_tool, (len(nominal.points), 3, 3)),
-        transform_point(tracker_from_base, nominal.points - r_tool @ gt.tip_in_tool),
-        sigmas,
-        _normals(rng, sigmas, len(nominal.points)),
+    measured = _perturb(tracker_from_tool, sigmas, _normals(rng, sigmas, n))
+    return _noisy(
+        nominal, tip_position_in_base(gt.hand_eye_solution(), measured, gt.pivot_solution())
     )
-    # r_tool is orthonormal only to the plan's 1e-6 tolerance, so the measured
-    # tool poses need not pass the RigidTransform check: map their tip by hand
-    points = transform_point(gt.base_from_tracker, rotations @ gt.tip_in_tool + translations)
-    return _noisy(nominal, points)
 
 
 def _noisy(nominal: TrajectoryRecording, points: np.ndarray) -> TrajectoryRecording:

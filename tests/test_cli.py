@@ -46,6 +46,17 @@ class TestSimulate:
         rec = parse_trajectory_log(out.read_bytes())
         assert len(rec) > 100
 
+    @pytest.mark.parametrize("value", ["-2e0", "-1E3", "-2.0"])
+    def test_negative_flag_value_is_a_number_in_any_notation(self, tmp_path, plan_path, value):
+        # "--flag value" and "--flag=value" give the same log
+        logs = []
+        for flag in (["--depth-bias", value], [f"--depth-bias={value}"]):
+            out = tmp_path / f"m{len(logs)}.csv"
+            assert main(["simulate", "muso", "--plan", str(plan_path), "--seed", "3",
+                         "--rate", "1", *flag, "--output", str(out)]) == 0
+            logs.append(out.read_bytes())
+        assert logs[0] == logs[1]
+
     def test_missing_plan_is_data_error(self, tmp_path, capsys):
         code = main(["simulate", "ruso", "--seed", "1", "--output", str(tmp_path / "x.csv")])
         assert code == 1

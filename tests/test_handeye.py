@@ -180,7 +180,8 @@ class TestCalibrateHandEye:
         gt = RigGroundTruth.random(32)
         r0 = random_rigid(rng)
         r1 = compose(
-            RigidTransform.from_axis_angle([1, 1, 0], math.radians(70.0), (40.0, -20.0, 15.0)), r0
+            RigidTransform(rotation_about_axis([1, 1, 0], math.radians(70.0)), (40.0, -20.0, 15.0)),
+            r0,
         )
         dataset = make_dataset(gt, [r0, r1])
         solution = calibrate_hand_eye(dataset)

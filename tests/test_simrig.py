@@ -44,6 +44,17 @@ def plan_mm(target=8.0, speed=3.0) -> PlannedCut:
     )
 
 
+TRACKER_NOISES = pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseModel(tracker_rot_sigma_rad=math.radians(0.05)),
+        NoiseModel(tracker_trans_sigma_mm=0.1),
+        NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1),
+    ],
+    ids=["rotation", "translation", "both"],
+)
+
+
 # References for the stacked generators: one RigidTransform per pose, drawn
 # and composed pose by pose.
 def perturb_transform(
@@ -178,15 +189,7 @@ class TestDeterminism:
         d = synthesize_muso_trial(plan, JitterModel(), rate_hz=6.0, seed=3)
         assert serialize_trajectory_log(c) == serialize_trajectory_log(d)
 
-    @pytest.mark.parametrize(
-        "noise",
-        [
-            NoiseModel(tracker_rot_sigma_rad=math.radians(0.05)),
-            NoiseModel(tracker_trans_sigma_mm=0.1),
-            NoiseModel(tracker_rot_sigma_rad=math.radians(0.05), tracker_trans_sigma_mm=0.1),
-        ],
-        ids=["rotation", "translation", "both"],
-    )
+    @TRACKER_NOISES
     def test_ruso_trial_matches_per_sample_chain(self, noise):
         gt = RigGroundTruth.random(8)
         plan = plan_mm()
@@ -320,6 +323,28 @@ class TestRusoTrials:
             )
             report = build_report(rec, plan, 100, f"R4.{seed + 1}")
             assert abs(report.mean_depth_mm - 8.0) < 0.1
+
+
+    @TRACKER_NOISES
+    def test_plan_axes_off_within_tolerance(self, noise):
+        # unit axes 9e-7 off in length and in perpendicularity, which PlannedCut
+        # accepts (1e-6), then turned away from the coordinate axes
+        r = random_rotation(np.random.default_rng(23))
+        plan = PlannedCut(
+            entry_point=[120.0, -40.0, 60.0],
+            direction=r @ [1.0 + 9e-7, 0.0, 0.0],
+            depth_axis=r @ [9e-7, 0.0, -(1.0 - 9e-7)],
+            length_mm=100.0,
+            target_depth_mm=8.0,
+            cutting_speed_mm_s=3.0,
+        )
+        policy = PassPolicy(depth_increment_mm=4.0)
+        nominal = sample_sequence(plan_sequence(plan, policy), 10.0)
+        for seed in range(3):
+            gt = RigGroundTruth.random(seed)
+            rec = synthesize_ruso_trial(gt, plan, policy, noise, rate_hz=10.0, seed=seed)
+            assert np.isfinite(rec.points).all()
+            assert np.abs(rec.points - nominal.points).max() < 1.0
 
 
 class TestMusoTrials:
