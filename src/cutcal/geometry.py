@@ -6,9 +6,9 @@ Conventions, fixed here and used everywhere:
   ``t`` maps tool coordinates into tracker coordinates it is the "pose of
   the tool in the tracker frame" and variables call it ``tracker_from_tool``.
   Points map as ``p_parent = R @ p_child + translation``.
-- ``compose(a, b)`` chains frames the way 4x4 matrices multiply, right to
-  left: ``compose(t_a_from_b, t_b_from_c) == t_a_from_c`` and the result's
-  matrix is ``a.matrix @ b.matrix``.
+- ``compose(a, b)`` chains frames the way 4x4 homogeneous matrices
+  multiply, right to left: ``compose(t_a_from_b, t_b_from_c) == t_a_from_c``
+  and the result's matrix is the product of ``a``'s and ``b``'s.
 - A ``RigidTransform`` holds one pose or a stack of N. ``compose``,
   ``invert`` and ``transform_point`` work row by row on stacks, and one pose
   broadcasts over a stack.
@@ -127,14 +127,6 @@ class RigidTransform:
     def from_quat_wxyz(cls, quat, translation) -> RigidTransform:
         """Build from a unit quaternion (w, x, y, z); normalized exactly."""
         return cls(orthonormalize(rotation_from_quat(quat)), translation)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     def quat_wxyz(self) -> np.ndarray:
         return quat_from_rotation(self.rotation)

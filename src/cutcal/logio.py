@@ -5,8 +5,13 @@ Trajectory log columns:  timestamp,x,y,z,active
 
 A pose-log row stores the pose of the ``target`` frame expressed in the
 ``source`` frame (so source=S, target=EE is the robot's forward-kinematic
-pose). Units are millimeters and seconds, dot decimal separator, LF line
-endings. Floats are written with repr so serialize -> parse is lossless.
+pose). Units are millimeters and seconds, dot decimal separator. Floats are
+written with repr so serialize -> parse is lossless.
+
+Both CSV logs are read alike. Lines end in LF, and a CR just before an LF is
+ignored; blank and whitespace-only lines are skipped. A row is checked field
+by field, left to right. A bad log raises a ParseError at the 1-based line of
+its first error in file order.
 """
 
 from __future__ import annotations
@@ -42,9 +47,6 @@ _FRAMES = tuple(FrameId)
 _FRAME_CODE = {f: k for k, f in enumerate(_FRAMES)}
 _FRAME_CODE_BY_LABEL = {f.value: k for k, f in enumerate(_FRAMES)}
 _FRAME_LABELS = np.array([f.value for f in _FRAMES])
-
-# names of the numbers after the frames in a pose-log row, for error messages
-_POSE_NUMBER_NAMES = ("quaternion component",) * 4 + ("translation component",) * 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +117,12 @@ def dump_json(doc) -> str:
 
 
 def _parse_float(text: str, what: str, line: int) -> float:
+    stripped = text.strip()
     # float() also reads "1_0" and non-ASCII digits, which np.loadtxt rejects
-    if "_" in text or not text.strip().isascii():
+    if "_" in stripped or not stripped.isascii():
         raise ParseError(f"bad {what}: {text!r}", line)
     try:
-        value = float(text)
+        value = float(stripped)
     except ValueError:
         raise ParseError(f"bad {what}: {text!r}", line) from None
     if not math.isfinite(value):
@@ -127,80 +130,103 @@ def _parse_float(text: str, what: str, line: int) -> float:
     return value
 
 
-def _frame_code(label: str, line: int) -> int:
+def _frame_code(label: str) -> float:
+    """Code of a frame label; NaN for an unknown one, which no valid row holds."""
+    return _FRAME_CODE_BY_LABEL.get(label.strip(), math.nan)
+
+
+def _read_csv(data: str | bytes, header: str, valid, scan, converters=None) -> np.ndarray:
+    """The data rows of a CSV log as one (N, columns) float array.
+
+    One bulk ``np.loadtxt`` parses the lines and ``valid`` tests the whole
+    array. Where the parse fails or the test is false, ``scan`` walks the
+    lines in file order and raises the first error; it words every row error.
+    """
+    lines = _decode(data).split("\n")
+    if lines[0].strip() != header:
+        raise ParseError(f"expected header {header!r}", 1)
+    width = header.count(",") + 1
+    rows = _load_rows(lines, width, converters)
+    if rows is None or not valid(rows):
+        scan(lines)
+        # every row is good, so loadtxt tripped on whitespace-only lines,
+        # which it skips only when empty
+        rows = _load_rows(list(filter(str.strip, lines)), width, converters)
+    return rows
+
+
+def _load_rows(lines: list[str], width: int, converters) -> np.ndarray | None:
+    """The lines after the header as rows of ``width`` numbers; None where
+    loadtxt rejects them."""
+    if not any(map(str.strip, itertools.islice(lines, 1, None))):
+        return np.empty((0, width))  # loadtxt would warn that there is no data
     try:
-        return _FRAME_CODE_BY_LABEL[label]
-    except KeyError:
-        raise FrameError(f"unknown frame label {label!r}", line) from None
+        rows = np.loadtxt(
+            lines, delimiter=",", ndmin=2, skiprows=1, comments=None, converters=converters
+        )
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == width else None
 
 
-def _unit_quaternions(quats: np.ndarray, linenos: list[int]) -> np.ndarray:
-    """Check each quaternion's norm and renormalize the ones off unit norm;
-    ParseError at the first one outside QUAT_NORM_WINDOW."""
-    norms = _norms(quats)
-    outside = ~((QUAT_NORM_WINDOW[0] <= norms) & (norms <= QUAT_NORM_WINDOW[1]))
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ParseError(f"quaternion norm {norms[k]:.6g} outside {QUAT_NORM_WINDOW}", linenos[k])
-    off = np.abs(norms - 1.0) > 1e-12
-    return np.where(off[:, None], quats / norms[:, None], quats)
+def _data_fields(lines: list[str], width: int):
+    """(line number, fields) of each line after the header that is not blank,
+    in file order. A CR counts only as the end of a line, as it does to loadtxt."""
+    for lineno, raw in enumerate(itertools.islice(lines, 1, None), start=2):
+        raw = raw.removesuffix("\r")
+        if not raw.strip():
+            continue
+        if "\r" in raw:
+            raise ParseError("carriage return inside a line", lineno)
+        fields = raw.split(",")
+        if len(fields) != width:
+            raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
+        yield lineno, fields
+
+
+def _pose_rows_valid(rows: np.ndarray) -> bool:
+    norms = _norms(rows[:, 3:7])
+    return bool(
+        np.isfinite(rows).all()
+        and ((QUAT_NORM_WINDOW[0] <= norms) & (norms <= QUAT_NORM_WINDOW[1])).all()
+        and len(set(map(tuple, rows[:, :3].tolist()))) == len(rows)
+    )
+
+
+def _scan_pose_lines(lines: list[str]) -> None:
+    """Raise the first error of a pose log."""
+    seen = set()
+    for lineno, fields in _data_fields(lines, 10):
+        key = (_parse_float(fields[0], "timestamp", lineno), *map(_frame_code, fields[1:3]))
+        for label, code in zip(fields[1:3], key[1:]):
+            if math.isnan(code):
+                raise FrameError(f"unknown frame label {label.strip()!r}", lineno)
+        if key in seen:
+            source, target = _FRAMES[key[1]], _FRAMES[key[2]]
+            raise ParseError(f"duplicate {source},{target} row at timestamp {key[0]!r}", lineno)
+        seen.add(key)
+        quat = [_parse_float(f, "quaternion component", lineno) for f in fields[3:7]]
+        for field in fields[7:]:
+            _parse_float(field, "translation component", lineno)
+        norm = _norms(np.array(quat))
+        if not QUAT_NORM_WINDOW[0] <= norm <= QUAT_NORM_WINDOW[1]:
+            raise ParseError(f"quaternion norm {norm:.6g} outside {QUAT_NORM_WINDOW}", lineno)
 
 
 def parse_pose_log(data: str | bytes) -> PoseLog:
-    """Parse a pose log into one stacked PoseLog; raises ParseError/FrameError
-    with 1-based lines.
+    """Parse a pose log into one stacked PoseLog; ParseError/FrameError at the
+    line of the first error.
 
-    A second row with the same (timestamp, source, target) is an error. A row
-    is checked field by field in file order, and a bad quaternion norm is
-    reported at its own row, before any error on a later row.
+    A row's frames are checked against earlier rows' (timestamp, source,
+    target) before its numbers are read, and its quaternion norm after them.
+    Quaternions within QUAT_NORM_WINDOW of unit norm are renormalized.
     """
-    text = _decode(data)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != POSE_LOG_HEADER:
-        raise ParseError(f"expected header {POSE_LOG_HEADER!r}", 1)
-    keys, numbers, linenos = [], [], []
-    seen = set()
-    try:
-        for lineno, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            fields = raw.split(",")
-            if len(fields) != 10:
-                raise ParseError(f"expected 10 fields, got {len(fields)}", lineno)
-            timestamp = _parse_float(fields[0], "timestamp", lineno)
-            key = (
-                timestamp,
-                _frame_code(fields[1].strip(), lineno),
-                _frame_code(fields[2].strip(), lineno),
-            )
-            if key in seen:
-                source, target = _FRAMES[key[1]], _FRAMES[key[2]]
-                raise ParseError(
-                    f"duplicate {source},{target} row at timestamp {timestamp!r}", lineno
-                )
-            seen.add(key)
-            keys.append(key)
-            numbers.append(
-                [timestamp]
-                + [
-                    _parse_float(field, name, lineno)
-                    for field, name in zip(fields[3:], _POSE_NUMBER_NAMES)
-                ]
-            )
-            linenos.append(lineno)
-    except ParseError:
-        # a bad quaternion on an earlier row comes first
-        _unit_quaternions(np.array(numbers, dtype=np.float64).reshape(-1, 8)[:, 1:5], linenos)
-        raise
-    numbers = np.array(numbers, dtype=np.float64).reshape(-1, 8)
-    frames = np.array(keys, dtype=np.float64).reshape(-1, 3)[:, 1:]
-    return PoseLog(
-        numbers[:, 0],
-        frames[:, 0],
-        frames[:, 1],
-        _unit_quaternions(numbers[:, 1:5], linenos),
-        numbers[:, 5:],
-    )
+    converters = {1: _frame_code, 2: _frame_code}
+    rows = _read_csv(data, POSE_LOG_HEADER, _pose_rows_valid, _scan_pose_lines, converters)
+    quats = rows[:, 3:7]
+    norms = _norms(quats)[:, None]
+    quats = np.where(np.abs(norms - 1.0) > 1e-12, quats / norms, quats)
+    return PoseLog(rows[:, 0], rows[:, 1], rows[:, 2], quats, rows[:, 7:])
 
 
 def serialize_pose_log(log: PoseLog) -> str:
@@ -215,70 +241,40 @@ def serialize_pose_log(log: PoseLog) -> str:
     return _write_csv(POSE_LOG_HEADER, columns)
 
 
-def parse_trajectory_log(data: str | bytes) -> TrajectoryRecording:
-    """Parse a trajectory log into a recording.
-
-    Blank and whitespace-only lines are skipped; there is no comment syntax,
-    so a ``#`` line or trailing ``# ...`` text is a malformed row. Fast path
-    is one bulk numpy parse over the lines; on failure the lines are scanned
-    one by one to report the offending line number.
-    """
-    text = _decode(data)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != TRAJECTORY_LOG_HEADER:
-        raise ParseError(f"expected header {TRAJECTORY_LOG_HEADER!r}", 1)
-    if not any(map(str.strip, itertools.islice(lines, 1, None))):
-        raise ParseError("trajectory log has no data rows")
-    try:
-        arr = _load_trajectory_rows(lines)
-    except ValueError:
-        _scan_trajectory_lines(lines)  # locates the bad line and raises
-        # every row is well formed, so loadtxt tripped on whitespace-only
-        # lines, which it does not skip (it skips only empty ones)
-        try:
-            arr = _load_trajectory_rows([raw for raw in lines if raw.strip()])
-        except ValueError:
-            raise ParseError("malformed trajectory log") from None
-    if arr.shape[1] != 5:
-        raise ParseError(f"expected 5 columns, got {arr.shape[1]}", _row_line(lines, 0))
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        raise ParseError("non-finite value", _row_line(lines, bad))
-    active = arr[:, 4]
-    if not np.all((active == 0.0) | (active == 1.0)):
-        bad = int(np.flatnonzero((active != 0.0) & (active != 1.0))[0])
-        raise ParseError(f"active flag must be 0 or 1, got {active[bad]}", _row_line(lines, bad))
-    t = arr[:, 0]
-    if np.any(np.diff(t) <= 0):
-        bad = int(np.flatnonzero(np.diff(t) <= 0)[0])
-        raise NonMonotoneTime(
-            f"timestamp {float(t[bad + 1])!r} does not increase past {float(t[bad])!r}",
-            _row_line(lines, bad + 1),
-        )
-    if len(arr) < 2:
-        raise ParseError("a trajectory needs at least 2 samples")
-    return TrajectoryRecording(t, arr[:, 1:4], active.astype(bool))
-
-
-def _load_trajectory_rows(lines: list[str]) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, skiprows=1, comments=None)
-
-
-def _row_line(lines: list[str], row: int) -> int:
-    """1-based file line of data row ``row``, counting past blank lines."""
-    data_lines = (lineno for lineno, raw in enumerate(lines[1:], start=2) if raw.strip())
-    return next(itertools.islice(data_lines, row, None))
+def _trajectory_rows_valid(rows: np.ndarray) -> bool:
+    t, active = rows[:, 0], rows[:, 4]
+    return bool(
+        np.isfinite(rows).all()
+        and ((active == 0.0) | (active == 1.0)).all()
+        and (t[1:] > t[:-1]).all()
+    )
 
 
 def _scan_trajectory_lines(lines: list[str]) -> None:
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if len(fields) != 5:
-            raise ParseError(f"expected 5 fields, got {len(fields)}", lineno)
-        for name, value in zip(("timestamp", "x", "y", "z", "active"), fields):
-            _parse_float(value, name, lineno)
+    """Raise the first error of a trajectory log."""
+    names = TRAJECTORY_LOG_HEADER.split(",")
+    previous = -math.inf
+    for lineno, fields in _data_fields(lines, 5):
+        t, _, _, _, active = (_parse_float(f, name, lineno) for f, name in zip(fields, names))
+        if not t > previous:
+            raise NonMonotoneTime(f"timestamp {t!r} does not increase past {previous!r}", lineno)
+        if active not in (0.0, 1.0):
+            raise ParseError(f"active flag must be 0 or 1, got {active}", lineno)
+        previous = t
+
+
+def parse_trajectory_log(data: str | bytes) -> TrajectoryRecording:
+    """Parse a trajectory log into a recording; ParseError/NonMonotoneTime at
+    the line of the first error.
+
+    There is no comment syntax, so a ``#`` line or trailing ``# ...`` text is
+    a malformed row. After a row's fields are read, its timestamp must exceed
+    the row before's and its active flag must be 0 or 1.
+    """
+    rows = _read_csv(data, TRAJECTORY_LOG_HEADER, _trajectory_rows_valid, _scan_trajectory_lines)
+    if len(rows) < 2:
+        raise ParseError("a trajectory needs at least 2 samples")
+    return TrajectoryRecording(rows[:, 0], rows[:, 1:4], rows[:, 4].astype(bool))
 
 
 def serialize_trajectory_log(rec: TrajectoryRecording) -> str:

@@ -16,6 +16,14 @@ def assert_transforms_close(a: RigidTransform, b: RigidTransform, atol: float = 
     np.testing.assert_allclose(a.translation, b.translation, atol=atol, rtol=0)
 
 
+def homogeneous(t: RigidTransform) -> np.ndarray:
+    """4x4 homogeneous matrix of one pose."""
+    m = np.eye(4)
+    m[:3, :3] = t.rotation
+    m[:3, 3] = t.translation
+    return m
+
+
 def stack(poses) -> RigidTransform:
     """One stack of a sequence of transforms; ``list()`` of a stack undoes it."""
     return RigidTransform(

@@ -204,6 +204,10 @@ def bad_inputs(tmp_path_factory):
     (d / "he_nan.json").write_text(json.dumps({**solution, "residual_translation_mm": math.nan}))
     lines = (d / "pivot.csv").read_text().splitlines()
     (d / "pivot_dup.csv").write_text("\n".join(lines + [lines[2]]) + "\n")  # dup at line 8
+    fields = lines[2].split(",")
+    fields[3] = "2.0"  # quaternion norm about 2 on line 3
+    (d / "pivot_norm.csv").write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n")
+    (d / "pivot_header_only.csv").write_text(lines[0] + "\n")
     for name in ("pivot", "he"):
         # every translation 1e308: sums overflow to inf, and inf - inf gives nan
         lines = (d / f"{name}.csv").read_text().splitlines()
@@ -290,6 +294,12 @@ CLI_ERROR_CASES = [
                  "CutcalError", "cannot write", id="unwritable-output"),
     pytest.param("calibrate-pivot --input {d}/pivot_dup.csv", 1,
                  "ParseError", "line 8: duplicate OT,Tool row", id="duplicate-pose-row"),
+    pytest.param("calibrate-pivot --input {d}/pivot_norm.csv", 1,
+                 "ParseError", "line 3: quaternion norm", id="pose-quaternion-norm"),
+    # loadtxt warns on a log with no data lines; here a warning is an error
+    pytest.param("calibrate-pivot --input {d}/pivot_header_only.csv", 1,
+                 "ParseError", "no (OT,Tool) rows", id="pose-header-only",
+                 marks=pytest.mark.filterwarnings("error")),
     pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_nan.json", 1,
                  "ParseError", "plan.entry_point.0 must be a finite number", id="plan-nan"),
     pytest.param("analyze --traj {d}/none.csv --plan {d}/plan_huge_int.json", 1,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_transforms_close, random_rigid, stack
+from conftest import assert_transforms_close, homogeneous, random_rigid, stack
 from cutcal.errors import DegenerateConfiguration
 from cutcal.geometry import (
     FrameId,
@@ -82,8 +82,8 @@ class TestCompose:
     def test_matches_homogeneous_matrix_oracle(self, rng):
         for _ in range(100):
             a, b = random_rigid(rng), random_rigid(rng)
-            expected = a.matrix @ b.matrix
-            np.testing.assert_allclose(compose(a, b).matrix, expected, atol=1e-9)
+            expected = homogeneous(a) @ homogeneous(b)
+            np.testing.assert_allclose(homogeneous(compose(a, b)), expected, atol=1e-9)
 
     def test_associative(self, rng):
         for _ in range(50):

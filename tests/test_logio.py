@@ -11,6 +11,7 @@ from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
 from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation
 from cutcal.logio import (
     _WRITE_CHUNK_ROWS,
+    _parse_float,
     MAX_BIN_COUNT,
     POSE_LOG_HEADER,
     TRAJECTORY_LOG_HEADER,
@@ -347,6 +348,189 @@ class TestStackedPoseLog:
         assert_transforms_close(
             log.poses([0, 1])[1], RigidTransform.from_quat_wxyz(quat, translation)
         )
+
+
+def per_row_trajectory_log(text: str) -> list[tuple]:
+    """The trajectory-log parser one row at a time, every check in file order (the reference)."""
+    lines = text.split("\n")
+    if lines[0].strip() != TRAJECTORY_LOG_HEADER:
+        raise ParseError(f"expected header {TRAJECTORY_LOG_HEADER!r}", 1)
+
+    def number(field, what, line):
+        text = field.strip()
+        if "_" in text or not text.isascii():
+            raise ParseError(f"bad {what}: {field!r}", line)
+        try:
+            value = float(text)
+        except ValueError:
+            raise ParseError(f"bad {what}: {field!r}", line) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite {what}: {field!r}", line)
+        return value
+
+    names = ("timestamp", "x", "y", "z", "active")
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if raw.endswith("\r"):
+            raw = raw[:-1]
+        if not raw.strip():
+            continue
+        if "\r" in raw:
+            raise ParseError("carriage return inside a line", lineno)
+        fields = raw.split(",")
+        if len(fields) != 5:
+            raise ParseError(f"expected 5 fields, got {len(fields)}", lineno)
+        t, x, y, z, active = [number(f, name, lineno) for f, name in zip(fields, names)]
+        if rows and not t > rows[-1][0]:
+            raise NonMonotoneTime(f"timestamp {t!r} does not increase past {rows[-1][0]!r}", lineno)
+        if active not in (0.0, 1.0):
+            raise ParseError(f"active flag must be 0 or 1, got {active}", lineno)
+        rows.append((t, (x, y, z), active == 1.0))
+    if len(rows) < 2:
+        raise ParseError("a trajectory needs at least 2 samples")
+    return rows
+
+
+def trajectory_outcome(parse, text):
+    """What a trajectory parser makes of a text: its rows, bit for bit, or its error."""
+    try:
+        rows = parse(text)
+    except CutcalError as e:
+        return type(e), getattr(e, "line", None), str(e)
+    if isinstance(rows, TrajectoryRecording):
+        rows = zip(rows.timestamps.tolist(), rows.points.tolist(), rows.tool_active.tolist())
+    return [(np.array([t, *p]).tobytes(), a) for t, p, a in rows]
+
+
+# field replacements that break a trajectory row in each way the parser
+# checks; None repeats the timestamp of the row before
+TRAJECTORY_BAD_TOKENS = ["2", "nan", None, "x", "", "1_0", "\u0661", "-inf", "1e400", " 1 ",
+                         "0", "-1", "0.5", "1,2", "\x0c", "1\x1f", "\r", "\u2028", "# c"]
+
+
+class TestTrajectoryLogErrors:
+    @PROPERTY
+    @given(
+        recordings(),
+        st.lists(
+            st.tuples(st.integers(0, 29), st.integers(0, 4), st.sampled_from(TRAJECTORY_BAD_TOKENS)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([None, "", "  ", "\x0c", "\t\r"]),
+    )
+    @example(
+        TrajectoryRecording(np.arange(12.0), np.zeros((12, 3)), np.ones(12, dtype=bool)),
+        [(1, 4, "2"), (8, 0, "x")],  # a bad flag on line 3, garbage on line 10
+        None,
+    )
+    def test_errors_and_rows_equal_the_per_row_parser(self, rec, edits, blank_line):
+        lines = row_by_row_trajectory_log(rec).splitlines()
+        for row, field, token in edits:
+            k = 1 + row % len(rec)
+            fields = lines[k].split(",")
+            fields[field] = lines[k - 1].split(",")[0] if token is None else token
+            lines[k] = ",".join(fields)
+        if blank_line is not None:
+            lines.insert(1 + len(rec) // 2, blank_line)
+        text = "\n".join(lines) + "\n"
+        assert trajectory_outcome(parse_trajectory_log, text) == trajectory_outcome(
+            per_row_trajectory_log, text
+        )
+
+
+# text of one numeric field: digits, signs, points, exponents, digit
+# separators, whitespace, control characters and non-ASCII digits; CR and LF
+# end a line, so they are not field text
+FIELD_TEXT = st.text(
+    st.sampled_from("0123456789+-.eE_")
+    | st.characters(categories=("Zs", "Zl", "Zp", "Cc", "Nd"), exclude_characters="\r\n"),
+    max_size=6,
+)
+
+# (parser, log text with {} for the field, the field's parsed value); any
+# finite value there leaves the log valid, and line 3 is a good row
+FIELD_SLOTS = [
+    (parse_pose_log, POSE_LOG_HEADER + "\n{},S,EE,1,0,0,0,1,2,3\n0,OT,Tool,1,0,0,0,4,5,6\n",
+     lambda log: log.timestamps[0]),
+    (parse_pose_log, POSE_LOG_HEADER + "\n0,S,EE,1,0,0,0,1,{},3\n0,OT,Tool,1,0,0,0,4,5,6\n",
+     lambda log: log.translations[0, 1]),
+    (parse_pose_log, POSE_LOG_HEADER + "\n0,S,EE,1,0,0,0,1,2,{}\n0,OT,Tool,1,0,0,0,4,5,6\n",
+     lambda log: log.translations[0, 2]),
+    (parse_trajectory_log, TRAJECTORY_LOG_HEADER + "\n0,{},2,3,1\n1,4,5,6,0\n",
+     lambda rec: rec.points[0, 0]),
+    (parse_trajectory_log, TRAJECTORY_LOG_HEADER + "\n0,1,2,{},1\n1,4,5,6,0\n",
+     lambda rec: rec.points[0, 2]),
+]
+
+
+class TestFieldText:
+    @PROPERTY
+    @given(FIELD_TEXT, st.sampled_from(FIELD_SLOTS), st.booleans())
+    @example("1\x1f", FIELD_SLOTS[3], True)
+    @example("\x1c-0", FIELD_SLOTS[2], False)
+    def test_a_log_parses_exactly_when_parse_float_accepts_the_field(self, text, slot, broken):
+        # the bulk parse and the line scan must agree, so a later malformed
+        # line cannot change what a field means
+        parse, template, field_value = slot
+        log = template.format(text) + ("oops\n" if broken else "")
+        try:
+            value = _parse_float(text, "field", 2)
+        except ParseError:
+            value = None
+        if value is None or broken:
+            with pytest.raises(ParseError) as exc:
+                parse(log)
+            assert exc.value.line == (2 if value is None else 4)
+        else:
+            assert field_value(parse(log)).tobytes() == np.float64(value).tobytes()
+
+
+# characters str.splitlines() breaks lines at and LF-only line counting does not
+SPLITLINES_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+@pytest.mark.parametrize(
+    "parse, rows",
+    [
+        (parse_trajectory_log, [TRAJECTORY_LOG_HEADER, "0.0,0,0,0,1", "0.1,0,0,0,1", "0.2,0,0,0,1",
+                                "0.3,0,0,0,2"]),
+        (parse_pose_log, [POSE_LOG_HEADER, "0,S,EE,1,0,0,0,0,0,0", "1,S,EE,1,0,0,0,0,0,0",
+                          "2,S,EE,1,0,0,0,0,0,0", "3,S,EE,2,0,0,0,0,0,0"]),
+    ],
+    ids=["trajectory", "pose"],
+)
+@pytest.mark.parametrize("where", ["alone", "ending"])
+def test_error_line_is_the_lf_line(parse, rows, char, where):
+    # line 5 holds the error; line 3 is the character alone or ends in it
+    rows = list(rows)
+    rows[2] = char if where == "alone" else rows[2] + char
+    with pytest.raises(ParseError) as exc:
+        parse("\n".join(rows) + "\n")
+    assert exc.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "parse, rows",
+    [
+        (parse_trajectory_log, [TRAJECTORY_LOG_HEADER, "0.0,1,2,3,1", "0.1,4,5,6,0"]),
+        (parse_pose_log, [POSE_LOG_HEADER, "0,S,EE,1,0,0,0,1,2,3", "1,OT,Tool,1,0,0,0,4,5,6"]),
+    ],
+    ids=["trajectory", "pose"],
+)
+def test_a_carriage_return_only_ends_a_line(parse, rows):
+    lf = parse("\n".join(rows) + "\n")
+    crlf = parse("\r\n".join(rows) + "\r\n")
+    for name in vars(lf):
+        assert getattr(lf, name).tobytes() == getattr(crlf, name).tobytes(), name
+    with pytest.raises(ParseError) as exc:  # a bare-CR file is one line
+        parse("\r".join(rows) + "\r")
+    assert exc.value.line == 1
+    for bad in (rows[2].replace(",", "\r,", 1), rows[2] + "\r "):
+        with pytest.raises(ParseError) as exc:
+            parse("\n".join([*rows, bad]) + "\n")
+        assert exc.value.line == 4 and "carriage return" in str(exc.value)
 
 
 class TestTrajectoryLog:
