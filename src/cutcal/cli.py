@@ -73,6 +73,8 @@ def _transform_from_dict(doc: dict, where: str) -> RigidTransform:
         translation = np.asarray(doc["translation_mm"], dtype=np.float64)
         if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
             raise ValueError("rotation and translation_mm must be finite")
+        if (rotation.shape, translation.shape) != ((3, 3), (3,)):
+            raise ValueError(f"not one pose: shapes {rotation.shape} and {translation.shape}")
         t = RigidTransform(rotation, translation)
         # a rotation that only just passes the check can fail it once chained
         # with other poses; its nearest proper rotation cannot

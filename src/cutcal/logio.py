@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -222,7 +222,9 @@ def parse_pose_log(data: str | bytes) -> PoseLog:
     Quaternions within QUAT_NORM_WINDOW of unit norm are renormalized.
     """
     converters = {1: _frame_code, 2: _frame_code}
-    rows = _read_csv(data, POSE_LOG_HEADER, _pose_rows_valid, _scan_pose_lines, converters)
+    # a huge quaternion component overflows its norm to inf, outside the window
+    with np.errstate(over="ignore"):
+        rows = _read_csv(data, POSE_LOG_HEADER, _pose_rows_valid, _scan_pose_lines, converters)
     quats = rows[:, 3:7]
     norms = _norms(quats)[:, None]
     quats = np.where(np.abs(norms - 1.0) > 1e-12, quats / norms, quats)
@@ -331,11 +333,46 @@ def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
         raise ParseError(f"missing key(s) {missing} in {where}")
 
 
-def _vec3(obj, key: str, where: str) -> np.ndarray:
-    v = obj[key]
-    if not (isinstance(v, list) and len(v) == 3):
-        raise ParseError(f"{where}.{key} must be a list of 3 numbers")
-    return np.array([_number(v, i, f"{where}.{key}") for i in range(3)])
+def _field_keys(cls) -> dict[str, bool]:
+    """A dataclass's field names, each required when it has no default."""
+    return {f.name: f.default is MISSING for f in fields(cls)}
+
+
+def _read_fields(cls, obj: dict, keys, where: str) -> dict:
+    """The values of ``keys`` in ``obj``, read as the fields of ``cls`` they
+    name: an array field takes a list of 3 finite numbers, a bool field a
+    boolean, and any other field a finite number."""
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key in keys:
+        v = obj[key]
+        if types[key] == "np.ndarray":
+            if not (isinstance(v, list) and len(v) == 3):
+                raise ParseError(f"{where}.{key} must be a list of 3 numbers")
+            v = np.array([_number(v, i, f"{where}.{key}") for i in range(3)])
+        elif types[key] == "bool":
+            if not isinstance(v, bool):
+                raise ParseError(f"{where}.{key} must be a boolean")
+        else:
+            v = _number(obj, key, where)
+        values[key] = v
+    return values
+
+
+def _fields_doc(obj) -> dict:
+    """The JSON object of a dataclass's fields, leaving out those that are None."""
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values if v is not None}
+
+
+def _analysis_doc(options: AnalysisOptions) -> dict:
+    """The plan's ``analysis`` object, whose keys are not field names."""
+    return {
+        "K": options.bin_count,
+        "gating": "active_only" if options.gate.active_only else "all",
+        "s_margin_mm": options.gate.s_margin_mm,
+        "lateral_mode": options.lateral_mode,
+    }
 
 
 def _number(obj, key: str | int, where: str) -> float:
@@ -347,114 +384,51 @@ def _number(obj, key: str | int, where: str) -> float:
 
 
 def parse_plan(data: str | bytes) -> PlanFile:
-    """Parse and schema-validate a plan JSON document."""
+    """Parse and schema-validate a plan JSON document.
+
+    Its keys are the field names of PlannedCut, plus ``pass_policy``, whose
+    keys are the field names of PassPolicy, and an optional ``analysis``. A
+    field without a default is a required key; unknown keys are rejected.
+    """
     doc = load_json(data)
     if not isinstance(doc, dict):
         raise ParseError("plan document must be a JSON object")
-    _require_keys(
-        doc,
-        {
-            "entry_point": True,
-            "direction": True,
-            "depth_axis": True,
-            "length_mm": True,
-            "target_depth_mm": True,
-            "cutting_speed_mm_s": True,
-            "pass_policy": True,
-            "analysis": False,
-        },
-        "plan",
-    )
+    cut_keys = _field_keys(PlannedCut)
+    _require_keys(doc, {**cut_keys, "pass_policy": True, "analysis": False}, "plan")
     try:
-        plan = PlannedCut(
-            entry_point=_vec3(doc, "entry_point", "plan"),
-            direction=_vec3(doc, "direction", "plan"),
-            depth_axis=_vec3(doc, "depth_axis", "plan"),
-            length_mm=_number(doc, "length_mm", "plan"),
-            target_depth_mm=_number(doc, "target_depth_mm", "plan"),
-            cutting_speed_mm_s=_number(doc, "cutting_speed_mm_s", "plan"),
-        )
+        plan = PlannedCut(**_read_fields(PlannedCut, doc, cut_keys, "plan"))
     except ValueError as e:
         raise ParseError(f"invalid plan: {e}") from e
 
     pp = doc["pass_policy"]
     if not isinstance(pp, dict):
         raise ParseError("plan.pass_policy must be an object")
-    _require_keys(
-        pp,
-        {
-            "depth_increment_mm": True,
-            "insertion_speed_mm_s": False,
-            "retraction_speed_mm_s": False,
-            "cutting_speed_mm_s": False,
-            "retract_clearance_mm": False,
-            "bidirectional": False,
-        },
-        "pass_policy",
-    )
-    kwargs = {}
-    for key in pp:
-        if key == "bidirectional":
-            if not isinstance(pp[key], bool):
-                raise ParseError("pass_policy.bidirectional must be a boolean")
-            kwargs[key] = pp[key]
-        else:
-            kwargs[key] = _number(pp, key, "pass_policy")
+    _require_keys(pp, _field_keys(PassPolicy), "pass_policy")
     try:
-        policy = PassPolicy(**kwargs)
+        # in document order: the first bad value is the first one written
+        policy = PassPolicy(**_read_fields(PassPolicy, pp, pp, "pass_policy"))
     except InvalidPolicy as e:
         raise ParseError(f"invalid pass_policy: {e}") from e
 
-    analysis = AnalysisOptions()
-    if "analysis" in doc:
-        an = doc["analysis"]
-        if not isinstance(an, dict):
-            raise ParseError("plan.analysis must be an object")
-        _require_keys(
-            an,
-            {"K": False, "gating": False, "s_margin_mm": False, "lateral_mode": False},
-            "analysis",
-        )
-        gating = an.get("gating", "active_only")
-        if gating not in ("active_only", "all"):
-            raise ParseError("analysis.gating must be 'active_only' or 'all'")
-        k = an.get("K", 100)
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_BIN_COUNT:
-            raise ParseError(f"analysis.K must be an integer from 1 to {MAX_BIN_COUNT}")
-        margin = _number(an, "s_margin_mm", "analysis") if "s_margin_mm" in an else 2.0
-        mode = an.get("lateral_mode", "lateral")
-        try:
-            analysis = AnalysisOptions(
-                bin_count=k,
-                gate=GatePolicy(active_only=(gating == "active_only"), s_margin_mm=margin),
-                lateral_mode=mode,
-            )
-        except ValueError as e:
-            raise ParseError(f"invalid analysis options: {e}") from e
+    defaults = _analysis_doc(AnalysisOptions())
+    an = doc.get("analysis", defaults)
+    if not isinstance(an, dict):
+        raise ParseError("plan.analysis must be an object")
+    _require_keys(an, dict.fromkeys(defaults, False), "analysis")
+    an = {**defaults, **an}
+    if an["gating"] not in ("active_only", "all"):
+        raise ParseError("analysis.gating must be 'active_only' or 'all'")
+    k = an["K"]
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_BIN_COUNT:
+        raise ParseError(f"analysis.K must be an integer from 1 to {MAX_BIN_COUNT}")
+    gate = GatePolicy(an["gating"] == "active_only", _number(an, "s_margin_mm", "analysis"))
+    try:
+        analysis = AnalysisOptions(k, gate, an["lateral_mode"])
+    except ValueError as e:
+        raise ParseError(f"invalid analysis options: {e}") from e
     return PlanFile(plan=plan, policy=policy, analysis=analysis)
 
 
 def serialize_plan(pf: PlanFile) -> str:
-    policy: dict = {"depth_increment_mm": pf.policy.depth_increment_mm}
-    policy["insertion_speed_mm_s"] = pf.policy.insertion_speed_mm_s
-    policy["retraction_speed_mm_s"] = pf.policy.retraction_speed_mm_s
-    if pf.policy.cutting_speed_mm_s is not None:
-        policy["cutting_speed_mm_s"] = pf.policy.cutting_speed_mm_s
-    policy["retract_clearance_mm"] = pf.policy.retract_clearance_mm
-    policy["bidirectional"] = pf.policy.bidirectional
-    doc = {
-        "entry_point": pf.plan.entry_point.tolist(),
-        "direction": pf.plan.direction.tolist(),
-        "depth_axis": pf.plan.depth_axis.tolist(),
-        "length_mm": pf.plan.length_mm,
-        "target_depth_mm": pf.plan.target_depth_mm,
-        "cutting_speed_mm_s": pf.plan.cutting_speed_mm_s,
-        "pass_policy": policy,
-        "analysis": {
-            "K": pf.analysis.bin_count,
-            "gating": "active_only" if pf.analysis.gate.active_only else "all",
-            "s_margin_mm": pf.analysis.gate.s_margin_mm,
-            "lateral_mode": pf.analysis.lateral_mode,
-        },
-    }
-    return dump_json(doc)
+    policy, analysis = _fields_doc(pf.policy), _analysis_doc(pf.analysis)
+    return dump_json({**_fields_doc(pf.plan), "pass_policy": policy, "analysis": analysis})

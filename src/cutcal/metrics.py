@@ -51,10 +51,11 @@ class PlannedCut:
 
     def __post_init__(self):
         _freeze(self, 3, "entry_point", "direction", "depth_axis")
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-6:
-            raise ValueError("direction must be a unit vector")
-        if abs(np.linalg.norm(self.depth_axis) - 1.0) > 1e-6:
-            raise ValueError("depth_axis must be a unit vector")
+        with np.errstate(over="ignore"):  # a huge component makes an inf norm
+            if abs(np.linalg.norm(self.direction) - 1.0) > 1e-6:
+                raise ValueError("direction must be a unit vector")
+            if abs(np.linalg.norm(self.depth_axis) - 1.0) > 1e-6:
+                raise ValueError("depth_axis must be a unit vector")
         if abs(float(self.direction @ self.depth_axis)) > 1e-6:
             raise ValueError("direction and depth_axis must be perpendicular")
         if not (self.length_mm > 0 and self.target_depth_mm > 0 and self.cutting_speed_mm_s > 0):

@@ -1,26 +1,31 @@
 """Aggregation of per-trial metrics into a summary table (text, CSV, JSON).
 
 Trials group by experiment-set prefix of their label (every "R4.x" trial
-feeds the "R4" row); each metric is reported as mean and sample standard
-deviation over the set's trials, in the column order: target depth,
-cutting speed, RMSE, length, procedure time, depth.
+feeds the "R4" row). A row gives the mean target depth and cutting speed of
+the set's trials, then the mean and sample standard deviation of RMSE,
+length, procedure time and depth.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import CutcalError, EmptyInput, ParseError
-from .logio import _number, dump_json, load_json
+from .logio import _fields_doc, _number, dump_json, load_json
 from .metrics import CutProfile, MetricsReport, TrialLabel
 
-_METRIC_FIELDS = (
-    ("rmse_mm", "RMSE (mm)"),
-    ("executed_length_mm", "Length (mm)"),
-    ("procedure_time_s", "Procedure Time (s)"),
-    ("mean_depth_mm", "Depth (mm)"),
+# the summary's columns after set and trials: report field, text header, and
+# whether the table gives the spread (a _mean and a _std column) or the mean
+_COLUMNS = (
+    ("target_depth_mm", "Target Depth (mm)", False),
+    ("cutting_speed_mm_s", "Cutting Speed (mm/s)", False),
+    ("rmse_mm", "RMSE (mm)", True),
+    ("executed_length_mm", "Length (mm)", True),
+    ("procedure_time_s", "Procedure Time (s)", True),
+    ("mean_depth_mm", "Depth (mm)", True),
 )
 
 
@@ -40,18 +45,14 @@ def summarize_sets(reports: list[MetricsReport]) -> list[dict]:
     for r in reports:
         groups.setdefault(r.trial_label.set_name, []).append(r)
     rows = []
-    for set_name in sorted(groups):
-        members = groups[set_name]
-        row: dict = {
-            "set": set_name,
-            "trials": len(members),
-            "target_depth_mm": float(np.mean([m.target_depth_mm for m in members])),
-            "cutting_speed_mm_s": float(np.mean([m.cutting_speed_mm_s for m in members])),
-        }
-        for field, _ in _METRIC_FIELDS:
-            mean, std = _mean_std([getattr(m, field) for m in members])
-            row[f"{field}_mean"] = mean
-            row[f"{field}_std"] = std
+    for set_name, members in sorted(groups.items()):
+        row: dict = {"set": set_name, "trials": len(members)}
+        for field, _, spread in _COLUMNS:
+            values = [getattr(m, field) for m in members]
+            if spread:
+                row[f"{field}_mean"], row[f"{field}_std"] = _mean_std(values)
+            else:
+                row[field] = float(np.mean(values))
         rows.append(row)
     return rows
 
@@ -73,84 +74,53 @@ def emit_report_table(reports: list[MetricsReport], format: str = "text") -> str
     if format == "json":
         return dump_json(rows)
     if format == "csv":
-        header = ["set", "trials", "target_depth_mm", "cutting_speed_mm_s"]
-        for field, _ in _METRIC_FIELDS:
-            header += [f"{field}_mean", f"{field}_std"]
-        lines = [",".join(header)]
-        for row in rows:
-            cells = [row["set"], str(row["trials"])]
-            cells += [repr(row["target_depth_mm"]), repr(row["cutting_speed_mm_s"])]
-            for field, _ in _METRIC_FIELDS:
-                cells += [repr(row[f"{field}_mean"]), repr(row[f"{field}_std"])]
-            lines.append(",".join(cells))
+        # str of a float is its repr, so the CSV holds the JSON's numbers
+        lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
         return "\n".join(lines) + "\n"
     if format == "text":
-        headers = ["Set", "Trials", "Target Depth (mm)", "Cutting Speed (mm/s)"] + [
-            label for _, label in _METRIC_FIELDS
-        ]
-        table = [headers]
-        for row in rows:
-            cells = [
-                row["set"],
-                str(row["trials"]),
-                f"{row['target_depth_mm']:.2f}",
-                f"{row['cutting_speed_mm_s']:.2f}",
-            ]
-            for field, _ in _METRIC_FIELDS:
-                cells.append(f"{row[f'{field}_mean']:.2f} ± {row[f'{field}_std']:.2f}")
-            table.append(cells)
-        widths = [max(len(r[c]) for r in table) for c in range(len(headers))]
+        table = [["Set", "Trials"]] + [[row["set"], str(row["trials"])] for row in rows]
+        for field, label, spread in _COLUMNS:
+            table[0].append(label)
+            for cells, row in zip(table[1:], rows):
+                values = (row[f"{field}_mean"], row[f"{field}_std"]) if spread else (row[field],)
+                cells.append(" ± ".join(f"{v:.2f}" for v in values))
+        widths = [max(map(len, column)) for column in zip(*table)]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    depths = [None if math.isnan(d) else d for d in report.profile.depths_mm.tolist()]
-    return {
-        "trial_label": str(report.trial_label),
-        "target_depth_mm": report.target_depth_mm,
-        "cutting_speed_mm_s": report.cutting_speed_mm_s,
-        "rmse_mm": report.rmse_mm,
-        "executed_length_mm": report.executed_length_mm,
-        "procedure_time_s": report.procedure_time_s,
-        "mean_depth_mm": report.mean_depth_mm,
-        "mean_depth_strict_mm": report.mean_depth_strict_mm,
-        "profile": {
-            "bin_count": report.profile.bin_count,
-            "bin_width_mm": report.profile.bin_width_mm,
-            "depths_mm": depths,
-            "coverage": report.profile.coverage,
-        },
-    }
+    """The JSON object of a report. Its keys are the field names of
+    MetricsReport, and those of ``profile`` the field names of CutProfile.
+    The label is its text, and a profile bin no sample reached is null."""
+    profile = _fields_doc(report.profile)
+    profile["depths_mm"] = [None if math.isnan(d) else d for d in profile["depths_mm"]]
+    return {**_fields_doc(report), "trial_label": str(report.trial_label), "profile": profile}
+
+
+def _numbers(cls, doc, where: str) -> dict:
+    """The float fields of ``cls`` read from the JSON object ``doc``, in field order."""
+    return {f.name: _number(doc, f.name, where) for f in fields(cls) if f.type == "float"}
 
 
 def report_from_dict(doc: dict) -> MetricsReport:
+    """The report of a JSON object as report_to_dict writes it; keys that are
+    not field names are ignored. The depth profile is checked first, then
+    the label and the numbers."""
     try:
         profile = doc["profile"]
         raw = profile["depths_mm"]
-        depths = np.array(
-            [math.nan if d is None else _number(raw, i, "profile.depths_mm") for i, d in enumerate(raw)]
-        )
+        depths = [
+            math.nan if d is None else _number(raw, i, "profile.depths_mm") for i, d in enumerate(raw)
+        ]
         bin_count = profile["bin_count"]
         if not isinstance(bin_count, int) or isinstance(bin_count, bool) or bin_count < 1:
             raise ParseError("profile.bin_count must be a positive integer")
-        return MetricsReport(
-            trial_label=TrialLabel.parse(doc["trial_label"]),
-            target_depth_mm=_number(doc, "target_depth_mm", "report"),
-            cutting_speed_mm_s=_number(doc, "cutting_speed_mm_s", "report"),
-            rmse_mm=_number(doc, "rmse_mm", "report"),
-            executed_length_mm=_number(doc, "executed_length_mm", "report"),
-            procedure_time_s=_number(doc, "procedure_time_s", "report"),
-            mean_depth_mm=_number(doc, "mean_depth_mm", "report"),
-            mean_depth_strict_mm=_number(doc, "mean_depth_strict_mm", "report"),
-            profile=CutProfile(
-                bin_count=bin_count,
-                bin_width_mm=_number(profile, "bin_width_mm", "profile"),
-                depths_mm=depths,
-                coverage=_number(profile, "coverage", "profile"),
-            ),
-        )
+        label = TrialLabel.parse(doc["trial_label"])
+        numbers = _numbers(MetricsReport, doc, "report")
+        profile = CutProfile(bin_count, depths_mm=depths, **_numbers(CutProfile, profile, "profile"))
+        return MetricsReport(label, **numbers, profile=profile)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"invalid report document: {e}") from e
 

@@ -202,6 +202,11 @@ def bad_inputs(tmp_path_factory):
     (d / "he_binary.json").write_bytes(b"\xff\xfe{}")
     (d / "he_abc.json").write_text(json.dumps({**solution, "residual_rotation_rad": "abc"}))
     (d / "he_nan.json").write_text(json.dumps({**solution, "residual_translation_mm": math.nan}))
+    # stacked transforms: 2 poses, as many poses as tip.csv has samples, and a stacked ee_from_tool
+    for name, key, n in (("stacked2", "base_from_tracker", 2), ("stacked3", "base_from_tracker", 3),
+                         ("stacked_ee", "ee_from_tool", 2)):
+        stack = {field: [value] * n for field, value in solution[key].items()}
+        (d / f"he_{name}.json").write_text(json.dumps({**solution, key: stack}))
     lines = (d / "pivot.csv").read_text().splitlines()
     (d / "pivot_dup.csv").write_text("\n".join(lines + [lines[2]]) + "\n")  # dup at line 8
     fields = lines[2].split(",")
@@ -316,6 +321,12 @@ CLI_ERROR_CASES = [
                  "ParseError", "invalid transform", id="handeye-nan-translation"),
     pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_inf_translation.json", 1,
                  "ParseError", "invalid transform", id="handeye-inf-translation"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_stacked2.json", 1,
+                 "ParseError", "invalid transform", id="handeye-stacked-transform"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_stacked3.json", 1,
+                 "ParseError", "invalid transform", id="handeye-stacked-as-samples"),
+    pytest.param("calibrate-tip --input {d}/tip.csv --handeye {d}/he_stacked_ee.json", 1,
+                 "ParseError", "invalid transform", id="handeye-stacked-ee-from-tool"),
     pytest.param("calibrate-pivot --input {d}/pivot_huge.csv", 1,
                  "CutcalError", "non-finite number", id="pivot-huge-translation"),
     pytest.param("calibrate-handeye --input {d}/he_huge.csv", 1,

@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -103,6 +105,13 @@ class TestPoseLog:
         with pytest.raises(ParseError) as exc:
             parse_pose_log(text)
         assert exc.value.line == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_quaternion_component_is_a_parse_error_without_a_warning(self):
+        # its squared norm overflows to inf
+        text = POSE_LOG_HEADER + "\n0,S,EE,1e200,0,0,0,0,0,0\n"
+        with pytest.raises(ParseError, match="line 2: quaternion norm inf"):
+            parse_pose_log(text)
 
     def test_quaternion_norm_within_window_renormalized(self):
         q = np.array([1.0, 0.0, 0.0, 0.0]) * 1.0005
@@ -707,6 +716,20 @@ class TestPlanFile:
         assert back.analysis == pf.analysis
         assert serialize_plan(back) == text
 
+    def test_keys_are_the_field_names(self):
+        policy = PassPolicy(depth_increment_mm=2.0, cutting_speed_mm_s=1.5)
+        doc = json.loads(serialize_plan(PlanFile(ALL_OPTIONS_PLAN.plan, policy)))
+        assert set(doc) - {"pass_policy", "analysis"} == {f.name for f in fields(PlannedCut)}
+        assert set(doc["pass_policy"]) == {f.name for f in fields(PassPolicy)}
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_direction_is_a_parse_error_without_a_warning(self):
+        # its squared norm overflows to inf
+        doc = json.loads(serialize_plan(ALL_OPTIONS_PLAN))
+        doc["direction"] = [1e300, 0.0, 0.0]
+        with pytest.raises(ParseError, match="invalid plan: direction must be a unit vector"):
+            parse_plan(json.dumps(doc))
+
     def test_roundtrip_fuzz(self, rng):
         for _ in range(200):
             pf = random_plan_file(rng)
@@ -734,16 +757,12 @@ class TestPlanFile:
 
     def test_non_unit_direction_rejected(self, rng):
         pf = random_plan_file(rng)
-        import json
-
         doc = json.loads(serialize_plan(pf))
         doc["direction"] = [2.0, 0.0, 0.0]
         with pytest.raises(ParseError):
             parse_plan(json.dumps(doc))
 
     def test_non_finite_or_bool_vector_rejected(self, rng):
-        import json
-
         for key in ("entry_point", "direction", "depth_axis"):
             for bad in (math.nan, math.inf, True):
                 doc = json.loads(serialize_plan(random_plan_file(rng)))
@@ -753,16 +772,12 @@ class TestPlanFile:
                 assert f"plan.{key}.1 must be a finite number" in str(exc.value)
 
     def test_bad_pass_policy_rejected(self, rng):
-        import json
-
         doc = json.loads(serialize_plan(random_plan_file(rng)))
         doc["pass_policy"]["depth_increment_mm"] = -1.0
         with pytest.raises(ParseError):
             parse_plan(json.dumps(doc))
 
     def test_bad_gating_value_rejected(self, rng):
-        import json
-
         doc = json.loads(serialize_plan(random_plan_file(rng)))
         doc["analysis"]["gating"] = "sometimes"
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestEmitFormats:
             else:
                 assert str(value) == cells[key]
 
+    def test_csv_header_is_the_json_row_keys(self):
+        reports = [make_report("R4.1"), make_report("M1.1", rmse=1.1)]
+        header = emit_report_table(reports, format="csv").split("\n")[0].split(",")
+        for row in json.loads(emit_report_table(reports, format="json")):
+            assert sorted(header) == list(row)  # JSON keys are sorted
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report_table([make_report()], format="yaml")
@@ -141,6 +148,11 @@ class TestReportSerialization:
         np.testing.assert_array_equal(np.isnan(got.depths_mm), missing)
         assert got.depths_mm[~missing].tobytes() == want.depths_mm[~missing].tobytes()
         assert serialize_report(back) == text
+
+    def test_keys_are_the_field_names(self):
+        doc = json.loads(serialize_report(make_report()))
+        assert set(doc) == {f.name for f in fields(MetricsReport)}
+        assert set(doc["profile"]) == {f.name for f in fields(CutProfile)}
 
     def test_parse_report_accepts_single_and_list(self):
         single = serialize_report(make_report())
