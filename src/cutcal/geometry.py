@@ -45,7 +45,9 @@ class FrameId(enum.Enum):
         return self.value
 
 
-# Construction-time validation tolerance for rotation matrices. Products of
+# Construction-time validation tolerance for rotation matrices. Every
+# rotation built from an array or computed by compose and invert is checked
+# against it once; rows of a checked stack share that check. Products of
 # projected rotations stay far inside this bound, but one that only just
 # passes can fail it once chained: external data must be projected with
 # orthonormalize() before it is chained.
@@ -74,12 +76,23 @@ def _check_rotation(r: np.ndarray) -> None:
 
     The orthonormality test is ``np.allclose(r @ r.T, I, atol=ROTATION_ATOL)``
     written out, so NaN fails it: |R R^T - I| <= atol + 1e-5 |I| elementwise.
+    A stack costs a fixed number of array operations: R R^T is one einsum,
+    and det R the cofactor expansion over entry views.
     """
     if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    if not (np.abs(r @ np.swapaxes(r, -1, -2) - _EYE) <= ROTATION_ATOL + 1e-5 * _EYE).all():
+    gram = np.einsum("...ij,...kj->...ik", r, r)
+    if not (np.abs(gram - _EYE) <= ROTATION_ATOL + 1e-5 * _EYE).all():
         raise ValueError("rotation matrix is not orthonormal")
-    if not (np.abs(np.linalg.det(r) - 1.0) <= ROTATION_ATOL).all():
+    # t[j, i] is r[..., i, j] with the stack axes reversed, as in rotation_angle;
+    # det R = det R^T, expanded along the first row of t
+    t = r.T
+    det = (
+        t[0, 0] * (t[1, 1] * t[2, 2] - t[1, 2] * t[2, 1])
+        - t[0, 1] * (t[1, 0] * t[2, 2] - t[1, 2] * t[2, 0])
+        + t[0, 2] * (t[1, 0] * t[2, 1] - t[1, 1] * t[2, 0])
+    )
+    if not (np.abs(det - 1.0) <= ROTATION_ATOL).all():
         raise ValueError("rotation matrix is not proper (det != +1)")
 
 
@@ -88,10 +101,12 @@ class RigidTransform:
     """An SE(3) pose, or a stack of N poses: proper rotation (3, 3) or
     (N, 3, 3) plus translation (3,) or (N, 3) in mm.
 
-    Immutable; all operations return new instances. Every rotation is
-    validated at construction, so any reachable instance satisfies the
-    orthonormality and det(+1) invariants. A stack has a length, and
-    indexing it gives a row (one pose) or rows (a stack).
+    Immutable; all operations return new instances. The constructor copies
+    its input and checks every rotation once, and so do compose and invert
+    for their results, so any reachable instance satisfies the orthonormality
+    and det(+1) invariants. A stack has a length, and indexing it gives a
+    row (one pose) or rows (a stack): read-only rows of the checked stack,
+    which are not checked again.
     """
 
     rotation: np.ndarray
@@ -117,7 +132,11 @@ class RigidTransform:
     def __getitem__(self, rows) -> RigidTransform:
         if self.rotation.ndim == 2:
             raise TypeError("a single pose has no rows")
-        return RigidTransform(self.rotation[rows], self.translation[rows])
+        r = self.rotation[rows]
+        # an index into the first axis only, so every row is a checked rotation
+        if isinstance(rows, tuple) or np.ndim(rows) > 1 or r.ndim > 3:
+            raise IndexError("a pose stack takes an int, a slice, a mask or an index array of rows")
+        return _checked(r, self.translation[rows])
 
     @classmethod
     def identity(cls) -> RigidTransform:
@@ -136,6 +155,16 @@ class RigidTransform:
             return f"RigidTransform(stack of {len(self)} poses)"
         t = ", ".join(f"{v:.6g}" for v in self.translation)
         return f"RigidTransform(angle={rotation_angle(self.rotation):.6g} rad, t=[{t}] mm)"
+
+
+def _checked(rotation: np.ndarray, translation: np.ndarray) -> RigidTransform:
+    """A transform of rotations that were checked already: the two arrays
+    are stored read-only, not copied or checked again."""
+    t = object.__new__(RigidTransform)
+    for name, a in (("rotation", rotation), ("translation", translation)):
+        a.flags.writeable = False
+        object.__setattr__(t, name, a)
+    return t
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

@@ -328,7 +328,12 @@ def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = [k for k, required in allowed.items() if required and k not in obj]
+    _require_present(obj, allowed, where)
+
+
+def _require_present(obj: dict, keys: dict[str, bool], where: str) -> None:
+    """Raise ParseError naming the keys marked required that ``obj`` lacks."""
+    missing = [k for k, required in keys.items() if required and k not in obj]
     if missing:
         raise ParseError(f"missing key(s) {missing} in {where}")
 

@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import CutcalError, EmptyInput, ParseError
-from .logio import _fields_doc, _number, dump_json, load_json
+from .logio import _field_keys, _fields_doc, _number, _require_present, dump_json, load_json
 from .metrics import CutProfile, MetricsReport, TrialLabel
 
 # the summary's columns after set and trials: report field, text header, and
@@ -106,22 +106,32 @@ def _numbers(cls, doc, where: str) -> dict:
 
 def report_from_dict(doc: dict) -> MetricsReport:
     """The report of a JSON object as report_to_dict writes it; keys that are
-    not field names are ignored. The depth profile is checked first, then
-    the label and the numbers."""
+    not field names are ignored. The report's and the profile's keys are
+    checked first, then the depth profile, the label and the numbers."""
+    if not isinstance(doc, dict):
+        raise ParseError("report document must be a JSON object")
+    _require_present(doc, _field_keys(MetricsReport), "report")
+    profile = doc["profile"]
+    if not isinstance(profile, dict):
+        raise ParseError("report.profile must be an object")
+    _require_present(profile, _field_keys(CutProfile), "profile")
+    raw = profile["depths_mm"]
+    if not isinstance(raw, list):
+        raise ParseError("profile.depths_mm must be a list")
+    depths = [
+        math.nan if d is None else _number(raw, i, "profile.depths_mm") for i, d in enumerate(raw)
+    ]
+    bin_count = profile["bin_count"]
+    if not isinstance(bin_count, int) or isinstance(bin_count, bool) or bin_count < 1:
+        raise ParseError("profile.bin_count must be a positive integer")
+    if not isinstance(doc["trial_label"], str):
+        raise ParseError("report.trial_label must be a string")
     try:
-        profile = doc["profile"]
-        raw = profile["depths_mm"]
-        depths = [
-            math.nan if d is None else _number(raw, i, "profile.depths_mm") for i, d in enumerate(raw)
-        ]
-        bin_count = profile["bin_count"]
-        if not isinstance(bin_count, int) or isinstance(bin_count, bool) or bin_count < 1:
-            raise ParseError("profile.bin_count must be a positive integer")
         label = TrialLabel.parse(doc["trial_label"])
         numbers = _numbers(MetricsReport, doc, "report")
         profile = CutProfile(bin_count, depths_mm=depths, **_numbers(CutProfile, profile, "profile"))
         return MetricsReport(label, **numbers, profile=profile)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(f"invalid report document: {e}") from e
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_transforms_close, homogeneous, random_rigid, stack
+from cutcal import geometry
 from cutcal.errors import DegenerateConfiguration
 from cutcal.geometry import (
     FrameId,
@@ -410,6 +411,37 @@ SHEPPERD_BRANCHES = [
 ]
 
 
+# relative steps off a bound, far beyond the rounding of the check's products
+off_bound = st.one_of(st.floats(1.0 - 1e-2, 1.0 - 1e-5), st.floats(1.0 + 1e-5, 1.0 + 1e-2))
+
+
+@st.composite
+def one_bound_crossed(draw, rotation):
+    """A matrix that crosses, or stays just inside, one bound of the check:
+    the off-diagonal or diagonal bound of R R^T or the determinant's (moved
+    to any entry by a signed permutation), or a reflection, NaN or inf."""
+    kinds = ["off-diagonal", "diagonal", "determinant", "reflection", "nan", "inf"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "reflection":
+        return rotation @ np.diag([1.0, 1.0, -1.0])
+    if kind in ("nan", "inf"):
+        m = rotation.copy()
+        value = math.nan if kind == "nan" else draw(st.sampled_from([math.inf, -math.inf]))
+        m[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = value
+        return m
+    step = draw(off_bound)
+    if kind == "off-diagonal":
+        e = 0.5e-9 * step
+        m = np.eye(3) + np.diag([e, 0.0], 1) + np.diag([e, 0.0], -1)
+    elif kind == "diagonal":
+        s = math.sqrt(1.0 + (1e-9 + 1e-5) * step)
+        m = np.diag([s, 1.0 / s, 1.0])
+    else:
+        m = np.eye(3) * np.cbrt(1.0 + 1e-9 * step)
+    p = draw(st.sampled_from(SIGNED_PERMUTATIONS))
+    return p @ m @ p.T
+
+
 class TestStackedGeometry:
     @PROPERTY
     @given(st.lists(st.tuples(axes, angles), min_size=1, max_size=20))
@@ -484,6 +516,19 @@ class TestStackedGeometry:
         nan = np.eye(3)
         nan[0, 1] = math.nan
         assert not allclose_accepts(nan) and not accepts(nan)
+
+    @PROPERTY
+    @given(st.data())
+    def test_a_stack_is_accepted_when_every_matrix_is(self, data):
+        rows = data.draw(st.lists(rotations, min_size=1, max_size=50))
+        k = data.draw(st.integers(0, len(rows) - 1))
+        rows[k] = data.draw(one_bound_crossed(rows[k]))
+        r = np.array(rows)
+        with np.errstate(all="ignore"):  # R R^T of inf is NaN in the reference
+            expected = [allclose_accepts(m) for m in r]
+        assert accepts(r) == all(expected)
+        for m, want in zip(r, expected):
+            assert accepts(m) == accepts(m[None]) == want
 
 
 # References for the stacked pose algebra: the single-pose forms compose,
@@ -581,6 +626,35 @@ def test_pose_stacks_have_rows_and_a_length(rng):
         len(single)
     with pytest.raises(TypeError):
         single[0]
+
+
+def test_each_rotation_stack_is_checked_once(rng, monkeypatch):
+    checked = []
+    check = geometry._check_rotation
+
+    def counting_check(r):
+        checked.append(r.shape)
+        check(r)
+
+    monkeypatch.setattr(geometry, "_check_rotation", counting_check)
+    rotations = np.array([random_rotation(rng) for _ in range(5)])
+    translations = rng.normal(size=(5, 3))
+    t = RigidTransform(rotations, translations)
+    assert checked == [(5, 3, 3)]
+    for rows in (3, slice(1, 4), np.array([True, False, True, False, True]), np.array([4, 0, 4])):
+        row = t[rows]
+        assert row.rotation.tobytes() == rotations[rows].tobytes()
+        assert row.translation.tobytes() == translations[rows].tobytes()
+        assert not row.rotation.flags.writeable and not row.translation.flags.writeable
+    assert len(list(t)) == 5 and checked == [(5, 3, 3)]
+    compose(t, t[0])
+    assert checked == [(5, 3, 3)] * 2
+    invert(t[1:3])
+    assert checked == [(5, 3, 3)] * 2 + [(2, 3, 3)]
+    # an index that reaches past the rows would take apart checked rotations
+    for rows in ((0, 1), (slice(None), 0), None, np.array([[0, 1]]), np.ones((5, 3), bool)):
+        with pytest.raises(IndexError):
+            t[rows]
 
 
 @pytest.mark.parametrize("k", [0, 3, 6])

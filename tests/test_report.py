@@ -183,3 +183,25 @@ class TestReportSerialization:
         with pytest.raises(ParseError):
             parse_report(json.dumps(good).replace("0.09", "1e400"))
         assert len(parse_report(json.dumps(good))) == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: {k: v for k, v in d.items() if k != "rmse_mm"},
+             "missing key(s) ['rmse_mm'] in report"),
+            (lambda d: [[d]], "report document must be a JSON object"),
+            (lambda d: {**d, "profile": [d["profile"]]}, "report.profile must be an object"),
+            (lambda d: {**d, "profile": {}},
+             "missing key(s) ['bin_count', 'bin_width_mm', 'depths_mm', 'coverage'] in profile"),
+            (lambda d: {**d, "profile": {**d["profile"], "depths_mm": 4}},
+             "profile.depths_mm must be a list"),
+            (lambda d: {**d, "trial_label": 4}, "report.trial_label must be a string"),
+        ],
+        ids=["missing-key", "list-in-list", "profile-list", "profile-empty", "depths-number",
+             "numeric-label"],
+    )
+    def test_malformed_document_says_what_is_wrong(self, edit, message):
+        doc = edit(report_to_dict(make_report()))
+        with pytest.raises(ParseError) as caught:
+            parse_report(json.dumps(doc))
+        assert str(caught.value) == message
