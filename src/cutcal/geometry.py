@@ -46,17 +46,18 @@ class FrameId(enum.Enum):
 
 
 # Construction-time validation tolerance for rotation matrices. Every
-# rotation built from an array or computed by compose and invert is checked
-# against it once; rows of a checked stack share that check. Products of
-# projected rotations stay far inside this bound, but one that only just
-# passes can fail it once chained: external data must be projected with
-# orthonormalize() before it is chained.
+# rotation built from an array or computed by compose is checked against it
+# once; rows of a checked stack and its inverse share that check. Products of
+# proper rotations stay far inside this bound (those of quaternions are within
+# about 1e-15), but a matrix that only just passes can fail it once chained:
+# external matrices must be projected with orthonormalize() before chaining.
 ROTATION_ATOL = 1e-9
 
 Rotation3 = np.ndarray  # (3, 3) proper orthonormal matrix
 Vector3 = np.ndarray  # (3,) float
 
 _EYE = np.eye(3)
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 # u @ _CROSS is the cross-product matrix of u, flattened: K(u) @ v == np.cross(u, v)
 _CROSS = np.array([np.cross(e, np.eye(3)).T for e in np.eye(3)]).reshape(3, 9)
@@ -102,11 +103,11 @@ class RigidTransform:
     (N, 3, 3) plus translation (3,) or (N, 3) in mm.
 
     Immutable; all operations return new instances. The constructor copies
-    its input and checks every rotation once, and so do compose and invert
-    for their results, so any reachable instance satisfies the orthonormality
-    and det(+1) invariants. A stack has a length, and indexing it gives a
-    row (one pose) or rows (a stack): read-only rows of the checked stack,
-    which are not checked again.
+    its input and checks every rotation once, and so does compose for its
+    result, so any reachable instance satisfies the orthonormality and
+    det(+1) invariants. The inverse of a stack and its rows share the
+    stack's check: a stack has a length, and indexing it gives a row (one
+    pose) or rows (a stack), read-only rows of the checked stack.
     """
 
     rotation: np.ndarray
@@ -142,11 +143,6 @@ class RigidTransform:
     def identity(cls) -> RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_quat_wxyz(cls, quat, translation) -> RigidTransform:
-        """Build from a unit quaternion (w, x, y, z); normalized exactly."""
-        return cls(orthonormalize(rotation_from_quat(quat)), translation)
-
     def quat_wxyz(self) -> np.ndarray:
         return quat_from_rotation(self.rotation)
 
@@ -180,7 +176,8 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
 def invert(t: RigidTransform) -> RigidTransform:
     """Inverse transform, row by row on a stack: compose(t, invert(t)) is the identity."""
     rt = np.swapaxes(t.rotation, -1, -2)
-    return RigidTransform(rt, (-rt @ t.translation[..., None])[..., 0])
+    # R^T of checked rotations is checked; copied C-contiguous, as the constructor stores it
+    return _checked(rt.copy(), (-rt @ t.translation[..., None])[..., 0])
 
 
 def transform_point(t: RigidTransform, p) -> np.ndarray:
@@ -269,10 +266,11 @@ def rotation_from_quat(quat) -> Rotation3:
     q = np.asarray(quat, dtype=np.float64)
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternions must be (..., 4), got {q.shape}")
-    n = _norms(q)
-    if not n.all():
-        raise ValueError("zero quaternion")
-    w, x, y, z = np.moveaxis(q / n[..., None], -1, 0)
+    with np.errstate(over="ignore"):  # an infinite squared norm fails the test below
+        n2 = (q[..., None, :] @ q[..., None])[..., 0, 0]
+    if not ((_TINY <= n2) & (n2 <= _HUGE)).all():
+        raise ValueError("zero quaternion, or its squared norm is not a finite normal float")
+    w, x, y, z = np.moveaxis(q / np.sqrt(n2)[..., None], -1, 0)
     r = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
@@ -307,21 +305,27 @@ def lines_spread_at_least(unit_directions, min_angle: float) -> bool:
     return False
 
 
+def _nearest_rotation(m) -> tuple[Rotation3, np.ndarray]:
+    """orthonormalize(m) and the singular values of m, from one SVD."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
+    d = np.sign(np.linalg.det(u @ vt))
+    u[..., :, 2] *= d[..., None]  # u @ diag(1, 1, d)
+    return u @ vt, s
+
+
 def orthonormalize(m) -> Rotation3:
     """Nearest proper rotation (Frobenius) to an arbitrary 3x3 matrix, or to
     each of a (..., 3, 3) stack."""
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
-    d = np.sign(np.linalg.det(u @ vt))
-    u[..., :, 2] *= d[..., None]  # u @ diag(1, 1, d)
-    return u @ vt
+    return _nearest_rotation(m)[0]
 
 
 def best_fit_rotation(a, b) -> Rotation3:
     """Least-squares rotation mapping each row of ``a`` (M, 3) to the same
     row of ``b``.
 
-    Minimizes sum ||R a_i - b_i||^2 over proper rotations (SVD solution).
-    Vector magnitudes act as weights.
+    Minimizes sum ||R a_i - b_i||^2 over proper rotations: R maximizes
+    tr(R a^T b), so it is the transpose of the nearest rotation to a^T b
+    (Arun, Huang & Blostein 1987). Vector magnitudes act as weights.
 
     Raises:
         DegenerateConfiguration: fewer than two pairs, or all input
@@ -333,12 +337,10 @@ def best_fit_rotation(a, b) -> Rotation3:
         raise ValueError("a and b must be (M, 3) arrays of the same shape")
     if len(a) < 2:
         raise DegenerateConfiguration("need at least 2 direction pairs")
-    h = a.T @ b  # maximize tr(R H)
-    u, s, vt = np.linalg.svd(h)
+    nearest, s = _nearest_rotation(a.T @ b)
     if s[1] <= 1e-8 * max(s[0], 1e-300):
         raise DegenerateConfiguration("direction pairs are collinear")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return nearest.T
 
 
 def rotation_between_vectors(u, v) -> Rotation3:

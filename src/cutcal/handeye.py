@@ -28,12 +28,12 @@ import numpy as np
 from .errors import DegenerateConfiguration, InsufficientMotion
 from .geometry import (
     RigidTransform,
+    _nearest_rotation,
     _norms,
     best_fit_rotation,
     compose,
     invert,
     lines_spread_at_least,
-    orthonormalize,
     rotation_angle,
     rotation_angle_between,
     rotation_between_vectors,
@@ -175,11 +175,9 @@ def solve_ee_to_tool(dataset: HandEyeDataset, base_from_tracker: RigidTransform)
         raise DegenerateConfiguration("empty dataset")
     # the per-station estimates of X: invert(base_from_ee) . Y . tracker_from_tool
     estimates = compose(invert(dataset.robot), compose(base_from_tracker, dataset.tracker))
-    m = estimates.rotation.sum(axis=0)
-    sv = np.linalg.svd(m, compute_uv=False)
+    r_x, sv = _nearest_rotation(estimates.rotation.sum(axis=0))
     if sv[2] <= 1e-9 * max(sv[0], 1e-300):
         raise DegenerateConfiguration("rotation averaging stack is rank-deficient")
-    r_x = orthonormalize(m)
     t_x = estimates.translation.mean(axis=0)
     return RigidTransform(r_x, t_x)
 

@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import CutcalError, FrameError, InvalidPolicy, NonMonotoneTime, ParseError
-from .geometry import FrameId, RigidTransform, _freeze, _norms
+from .geometry import FrameId, RigidTransform, _freeze, _norms, rotation_from_quat
 from .metrics import GatePolicy, PlannedCut, TrajectoryRecording
 from .planner import PassPolicy
 
@@ -81,7 +81,7 @@ class PoseLog:
 
     def poses(self, rows) -> RigidTransform:
         """The poses of the given rows, one stack."""
-        return RigidTransform.from_quat_wxyz(self.quats_wxyz[rows], self.translations[rows])
+        return RigidTransform(rotation_from_quat(self.quats_wxyz[rows]), self.translations[rows])
 
 
 def _decode(data: str | bytes) -> str:

@@ -28,7 +28,7 @@ from cutcal.geometry import (
     transform_point,
 )
 from cutcal.handeye import HandEyeDataset
-from cutcal.logio import PoseLog
+from cutcal.logio import QUAT_NORM_WINDOW, PoseLog
 from cutcal.metrics import CutProfile, PlannedCut, TrajectoryRecording
 from cutcal.planner import CutSequence
 from cutcal.pointcal import PivotSolution, TipCalDataset
@@ -61,7 +61,7 @@ class TestRigidTransform:
     def test_quat_roundtrip(self, rng):
         for _ in range(200):
             t = random_rigid(rng)
-            back = RigidTransform.from_quat_wxyz(t.quat_wxyz(), t.translation)
+            back = RigidTransform(rotation_from_quat(t.quat_wxyz()), t.translation)
             assert_transforms_close(back, t, atol=1e-12)
 
 
@@ -457,7 +457,8 @@ class TestStackedGeometry:
     @given(st.lists(st.tuples(unit, unit, unit, unit), min_size=1, max_size=20))
     def test_batched_quaternions_equal_the_per_quaternion_form(self, quats):
         q = np.array(quats)
-        if not np.linalg.norm(q, axis=1).all():
+        # a zero or subnormal squared norm cannot normalize the quaternion
+        if not ((q * q).sum(axis=1) >= np.finfo(np.float64).tiny).all():
             with pytest.raises(ValueError, match="zero quaternion"):
                 rotation_from_quat(q)
             return
@@ -466,6 +467,19 @@ class TestStackedGeometry:
         for k in range(len(q)):
             np.testing.assert_array_equal(stacked[k], rotation_from_one_quat(q[k]))
             np.testing.assert_array_equal(rotation_from_quat(q[k]), rotation_from_one_quat(q[k]))
+
+    @PROPERTY
+    @given(
+        st.tuples(unit, unit, unit, unit).filter(lambda q: np.linalg.norm(q) > 1e-3),
+        st.floats(*QUAT_NORM_WINDOW),
+    )
+    def test_rotations_of_quaternions_need_no_projection(self, quat, norm):
+        # every quaternion a pose log accepts gives a proper rotation far
+        # inside ROTATION_ATOL (worst seen on 1M random ones: 2.3e-15)
+        q = np.array(quat) / np.linalg.norm(quat) * norm
+        r = rotation_from_quat(q)
+        assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-14
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-14
 
     @PROPERTY
     @given(st.lists(rotations, min_size=1, max_size=20))
@@ -649,12 +663,32 @@ def test_each_rotation_stack_is_checked_once(rng, monkeypatch):
     assert len(list(t)) == 5 and checked == [(5, 3, 3)]
     compose(t, t[0])
     assert checked == [(5, 3, 3)] * 2
-    invert(t[1:3])
-    assert checked == [(5, 3, 3)] * 2 + [(2, 3, 3)]
+    # the inverse shares the check too: R^T of checked rotations, stored as the
+    # constructor stores rotations, so later products take the same BLAS path
+    for rows in (slice(1, 3), 4):
+        inverse = invert(t[rows]).rotation
+        assert inverse.tobytes() == np.swapaxes(rotations[rows], -1, -2).tobytes()
+        assert inverse.flags.c_contiguous and not inverse.flags.writeable
+    assert checked == [(5, 3, 3)] * 2
     # an index that reaches past the rows would take apart checked rotations
     for rows in ((0, 1), (slice(None), 0), None, np.array([[0, 1]]), np.ones((5, 3), bool)):
         with pytest.raises(IndexError):
             t[rows]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e155, 1e-154, 1e-160, 1e-170, math.inf, math.nan])
+def test_quaternions_whose_squared_norm_is_not_normal_are_rejected(scale):
+    # the squared norm overflows or is subnormal: normalizing by it would
+    # give the identity for a 90 degree turn, or a matrix that is no rotation
+    with pytest.raises(ValueError, match="zero quaternion"):
+        rotation_from_quat([scale, scale, 0.0, 0.0])
+    with pytest.raises(ValueError, match="zero quaternion"):
+        rotation_from_quat([[1.0, 0.0, 0.0, 0.0], [scale, scale, 0.0, 0.0]])
+    # the same turn at a scale whose squared norm is normal
+    np.testing.assert_allclose(
+        rotation_from_quat([1e150, 1e150, 0.0, 0.0]), rotation_about_axis([1, 0, 0], math.pi / 2),
+        rtol=0, atol=1e-15,
+    )
 
 
 @pytest.mark.parametrize("k", [0, 3, 6])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_transforms_close
 from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
-from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation
+from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation, rotation_from_quat
 from cutcal.logio import (
     _WRITE_CHUNK_ROWS,
     _parse_float,
@@ -355,7 +355,7 @@ class TestStackedPoseLog:
         assert (timestamp, source, target) == (1.5, FrameId.OT, FrameId.TOOL)
         assert translation.tolist() == [4.0, 5.0, 6.0]
         assert_transforms_close(
-            log.poses([0, 1])[1], RigidTransform.from_quat_wxyz(quat, translation)
+            log.poses([0, 1])[1], RigidTransform(rotation_from_quat(quat), translation)
         )
 
 
