@@ -197,11 +197,10 @@ def transform_point(t: RigidTransform, p) -> np.ndarray:
 def rotation_about_axis(axis, angle_rad) -> Rotation3:
     """Rodrigues rotation about a (not necessarily unit) axis, or (N, 3, 3)
     rotations about (N, 3) axes by (N,) angles."""
-    axis = np.asarray(axis, dtype=np.float64)
-    n = _norms(axis)[..., None]
+    axis, n, _ = _scaled(np.asarray(axis, dtype=np.float64))
     if not n.all():
         raise ValueError("rotation axis must be non-zero")
-    k = ((axis / n) @ _CROSS).reshape(axis.shape + (3,))
+    k = ((axis / n[..., None]) @ _CROSS).reshape(axis.shape + (3,))
     angle = np.asarray(angle_rad, dtype=np.float64)[..., None, None]
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
@@ -345,9 +344,8 @@ def best_fit_rotation(a, b) -> Rotation3:
 
 def rotation_between_vectors(u, v) -> Rotation3:
     """Minimal rotation taking direction u to direction v."""
-    u = np.asarray(u, dtype=np.float64).reshape(3)
-    v = np.asarray(v, dtype=np.float64).reshape(3)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    u, nu, _ = _scaled(np.asarray(u, dtype=np.float64).reshape(3))
+    v, nv, _ = _scaled(np.asarray(v, dtype=np.float64).reshape(3))
     if nu == 0.0 or nv == 0.0:
         raise ValueError("directions must be non-zero")
     u, v = u / nu, v / nv
@@ -368,6 +366,18 @@ def rotation_between_vectors(u, v) -> Rotation3:
 def _norms(v: np.ndarray) -> np.ndarray:
     """Norm of a 3-vector or of each row of a stack, bit-equal to np.linalg.norm."""
     return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s, n, e)`` of a 3-vector or of each row of a stack: ``s`` is ``v``
+    times ``2**-e``, ``e`` the frexp exponent of its largest magnitude, and
+    ``n = _norms(s)``. The scaling is exact and no square of ``s`` overflows
+    or underflows to 0, so ``s / n`` is the direction of any finite non-zero
+    ``v``, bit-equal to ``v / _norms(v)`` wherever that is in range, and
+    ``np.ldexp(n, e)`` is the norm of ``v``."""
+    e = np.frexp(np.abs(v).max(axis=-1))[1]
+    s = np.ldexp(v, -e[..., None])
+    return s, _norms(s), e
 
 
 def quat_from_rotation(r: Rotation3) -> np.ndarray:

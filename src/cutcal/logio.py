@@ -12,6 +12,11 @@ Both CSV logs are read alike. Lines end in LF, and a CR just before an LF is
 ignored; blank and whitespace-only lines are skipped. A row is checked field
 by field, left to right. A bad log raises a ParseError at the 1-based line of
 its first error in file order.
+
+A log of at least _SPLIT_MIN_ROWS rows is written and parsed in two processes
+where ``os.fork`` exists and a second CPU is usable: a forked child converts
+the second half of the rows. The text and the arrays are those of the
+one-process path, and errors are still found and reported by this process.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import pickle
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -41,6 +48,13 @@ MAX_BIN_COUNT = 1_000_000
 
 # rows per chunk of the trajectory-log writer
 _WRITE_CHUNK_ROWS = 4096
+
+# logs of at least this many data rows are written and parsed in two processes
+# (_in_halves). On a 2 vCPU Xeon (Python 3.11, numpy 2.4), a fork and pipe
+# round trip took 2-3.5 ms (more in a larger process), and the split broke even
+# at 6-8k trajectory rows for both the writer and the parse; about 3x that
+# keeps a margin for a busy second CPU
+_SPLIT_MIN_ROWS = 20_000
 
 # a pose log stores each frame as its index in this tuple
 _FRAMES = tuple(FrameId)
@@ -158,15 +172,78 @@ def _read_csv(data: str | bytes, header: str, valid, scan, converters=None) -> n
 def _load_rows(lines: list[str], width: int, converters) -> np.ndarray | None:
     """The lines after the header as rows of ``width`` numbers; None where
     loadtxt rejects them."""
-    if not any(map(str.strip, itertools.islice(lines, 1, None))):
-        return np.empty((0, width))  # loadtxt would warn that there is no data
-    try:
-        rows = np.loadtxt(
-            lines, delimiter=",", ndmin=2, skiprows=1, comments=None, converters=converters
-        )
-    except ValueError:
+
+    def load(lo: int, hi: int) -> np.ndarray | None:
+        part = lines[1 + lo : 1 + hi]
+        if not any(map(str.strip, part)):
+            return np.empty((0, width))  # loadtxt would warn that there is no data
+        try:
+            rows = np.loadtxt(part, delimiter=",", ndmin=2, comments=None, converters=converters)
+        except ValueError:
+            return None
+        return rows if rows.shape[1] == width else None
+
+    n = len(lines) - 1
+    if not lines[-1]:  # the LF that ends the last line starts no row
+        n -= 1
+    halves = _in_halves(load, n)
+    if any(rows is None for rows in halves):
         return None
-    return rows if rows.shape[1] == width else None
+    return np.concatenate(halves) if len(halves) > 1 else halves[0]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_halves(fn, n: int) -> tuple:
+    """``(fn(0, h), fn(h, n))`` with ``h = n // 2``, or ``(fn(0, n),)``.
+
+    A log of at least _SPLIT_MIN_ROWS rows is split when ``os.fork`` exists
+    and a second CPU is usable: a forked child computes ``fn(h, n)`` and
+    pickles it into a pipe while this process computes ``fn(0, h)``. Where
+    the child fails, this process computes its half too, so the results and
+    exceptions are those of the inline path. ``fn`` must call no BLAS, since
+    a child forked beside BLAS threads may find their locks held.
+    """
+    if n < _SPLIT_MIN_ROWS or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return (fn(0, n),)
+    h = n // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory
+        os.close(read_end)
+        os.close(write_end)
+        return (fn(0, n),)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(fn(h, n), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    second = ()
+    try:
+        # closing the read end, also when fn raises, lets a child blocked on a
+        # full pipe fail its write and exit before the wait
+        with open(read_end, "rb") as pipe:
+            first = fn(0, h)
+            try:
+                second = (pickle.load(pipe),)
+            except (EOFError, pickle.UnpicklingError):  # the child sent no whole result
+                pass
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or not second:
+        second = (fn(h, n),)
+    return first, second[0]
 
 
 def _data_fields(lines: list[str], width: int):
@@ -288,18 +365,24 @@ def _write_csv(header: str, columns) -> str:
     """CSV text of equal-length columns, column by column, a chunk of rows at
     a time. The repr of a list of numbers is the repr of each number, so one
     C call writes a numeric column's fields; string columns are written as
-    they are. Chunks bound the field strings alive at once."""
-    parts = [header]
-    for start in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
-        rows = slice(start, start + _WRITE_CHUNK_ROWS)
-        fields = [
-            col[rows].tolist()
-            if col.dtype.kind == "U"
-            else repr(col[rows].tolist())[1:-1].split(", ")
-            for col in columns
-        ]
-        parts.append("\n".join(map(",".join, zip(*fields))))
-    return "\n".join(parts) + "\n"
+    they are. Chunks bound the field strings alive at once, and a long log's
+    halves are written side by side (_in_halves)."""
+
+    def chunks(lo: int, hi: int) -> list[str]:
+        parts = []
+        for start in range(lo, hi, _WRITE_CHUNK_ROWS):
+            rows = slice(start, min(start + _WRITE_CHUNK_ROWS, hi))
+            fields = [
+                col[rows].tolist()
+                if col.dtype.kind == "U"
+                else repr(col[rows].tolist())[1:-1].split(", ")
+                for col in columns
+            ]
+            parts.append("\n".join(map(",".join, zip(*fields))))
+        return parts
+
+    halves = _in_halves(chunks, len(columns[0]))
+    return "\n".join([header, *itertools.chain.from_iterable(halves)]) + "\n"
 
 
 @dataclass(frozen=True)

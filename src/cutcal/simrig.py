@@ -25,6 +25,7 @@ from .geometry import (
     RigidTransform,
     _freeze,
     _norms,
+    _scaled,
     compose,
     invert,
     lines_spread_at_least,
@@ -146,7 +147,10 @@ def _perturb(poses: RigidTransform, sigmas, normals) -> RigidTransform:
     rotations, translations = poses.rotation, poses.translation
     if rot_sigma_rad > 0:
         wobble = draws[:, 0]
-        rotations = rotations @ rotation_about_axis(wobble, _norms(wobble))
+        _, n, e = _scaled(wobble)
+        # a wobble that underflowed to zero is no turn: any axis, angle 0
+        axes = np.where(n[:, None] > 0.0, wobble, 1.0)
+        rotations = rotations @ rotation_about_axis(axes, np.ldexp(n, e))
     if trans_sigma_mm > 0:
         translations = translations + draws[:, -1]
     if not (np.isfinite(rotations).all() and np.isfinite(translations).all()):

@@ -8,7 +8,7 @@ import pytest
 
 from cutcal.cli import main
 from cutcal.geometry import RigidTransform, rotation_angle_between
-from cutcal.logio import parse_trajectory_log, serialize_plan, PlanFile
+from cutcal.logio import parse_pose_log, parse_trajectory_log, serialize_plan, PlanFile
 from cutcal.metrics import PlannedCut
 from cutcal.planner import PassPolicy
 
@@ -56,6 +56,26 @@ class TestSimulate:
                          "--rate", "1", *flag, "--output", str(out)]) == 0
             logs.append(out.read_bytes())
         assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("handeye --tracker-rot-sigma-deg 1e-160", id="handeye-tracker-tiny"),
+        pytest.param("handeye --robot-rot-sigma-deg 1e-160", id="handeye-robot-tiny"),
+        pytest.param("pivot --tracker-rot-sigma-deg 1e-160", id="pivot-tiny"),
+        pytest.param("tipcal --robot-rot-sigma-deg 1e-200", id="tipcal-tiny"),
+        # 3e-322 degrees is 5e-324 rad: some wobble vectors underflow to zero
+        pytest.param("handeye --tracker-rot-sigma-deg 3e-322", id="handeye-zero-wobble"),
+        pytest.param("pivot --tracker-rot-sigma-deg 3e-322", id="pivot-zero-wobble"),
+        pytest.param("tipcal --tracker-rot-sigma-deg 3e-322", id="tipcal-zero-wobble"),
+        # a wobble angle of about 1e306 rad is a turn like any other
+        pytest.param("pivot --tracker-rot-sigma-deg 1e308", id="pivot-rotation-noise-huge"),
+    ])
+    def test_extreme_rotation_noise_gives_a_log(self, tmp_path, capsys, argv):
+        # the squared norm of the wobble underflows or overflows; the axis and
+        # the angle must not vanish or become infinite with it
+        out = tmp_path / "poses.csv"
+        assert main(["simulate", *argv.split(), "--poses", "40", "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert len(parse_pose_log(out.read_bytes())) > 0
 
     def test_missing_plan_is_data_error(self, tmp_path, capsys):
         code = main(["simulate", "ruso", "--seed", "1", "--output", str(tmp_path / "x.csv")])
@@ -365,9 +385,6 @@ CLI_ERROR_CASES = [
     pytest.param("simulate tipcal --poses 5 --robot-trans-sigma 1e308 --output {d}/tip_inf.csv"
                  " --ground-truth-output {d}/tip_inf_gt.json", 1,
                  "CutcalError", "the noise overflows a simulated pose", id="tipcal-noise-overflow"),
-    pytest.param("simulate pivot --poses 3 --tracker-rot-sigma-deg 1e308", 1,
-                 "CutcalError", "the noise overflows a simulated pose",
-                 id="pivot-rotation-noise-overflow"),
     pytest.param("simulate ruso --plan {d}/plan.json --rate 1 --tracker-trans-sigma 1e308", 1,
                  "CutcalError", "the noise overflows a simulated pose", id="ruso-noise-overflow"),
     pytest.param("simulate muso --plan {d}/plan.json --rate 1 --lateral-sigma 1e308", 1,

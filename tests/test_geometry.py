@@ -23,6 +23,7 @@ from cutcal.geometry import (
     rotation_about_axis,
     rotation_angle,
     rotation_angle_between,
+    rotation_between_vectors,
     rotation_from_quat,
     rotvec_from_rotation,
     transform_point,
@@ -688,6 +689,28 @@ def test_quaternions_whose_squared_norm_is_not_normal_are_rejected(scale):
     np.testing.assert_allclose(
         rotation_from_quat([1e150, 1e150, 0.0, 0.0]), rotation_about_axis([1, 0, 0], math.pi / 2),
         rtol=0, atol=1e-15,
+    )
+
+
+@pytest.mark.parametrize("exponent", [1000, 660, -600, -1060])
+def test_axes_and_directions_of_any_finite_scale_give_the_same_rotation(exponent):
+    # the squared norms of these vectors overflow or lose digits to underflow;
+    # normalizing by them gave the identity or a wrong turn. Scaling by a power
+    # of two is exact, so the rotations equal those of the unscaled vectors.
+    axis, other = np.array([3.0, 4.0, 0.0]), np.array([0.0, 3.0, -4.0])
+    scaled_axis, scaled_other = np.ldexp(axis, exponent), np.ldexp(other, exponent)
+    np.testing.assert_array_equal(
+        rotation_about_axis(scaled_axis, 1.0), rotation_about_axis(axis, 1.0)
+    )
+    np.testing.assert_array_equal(
+        rotation_about_axis(np.array([scaled_axis, other]), [1.0, 2.0]),
+        rotation_about_axis(np.array([axis, other]), [1.0, 2.0]),
+    )
+    np.testing.assert_array_equal(
+        rotation_between_vectors(scaled_axis, scaled_other), rotation_between_vectors(axis, other)
+    )
+    np.testing.assert_array_equal(
+        rotation_between_vectors(scaled_axis, other), rotation_between_vectors(axis, other)
     )
 
 

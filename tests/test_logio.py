@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 import time
 from dataclasses import fields
 
@@ -11,8 +13,11 @@ from hypothesis import strategies as st
 from conftest import assert_transforms_close
 from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
 from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation, rotation_from_quat
+from cutcal import logio
 from cutcal.logio import (
+    _SPLIT_MIN_ROWS,
     _WRITE_CHUNK_ROWS,
+    _in_halves,
     _parse_float,
     MAX_BIN_COUNT,
     POSE_LOG_HEADER,
@@ -658,6 +663,178 @@ class TestTrajectoryLog:
             np.testing.assert_array_equal(parsed.points, rec.points)
             np.testing.assert_array_equal(parsed.tool_active, rec.tool_active)
         assert min(times) < 2.0, "parse took " + ", ".join(f"{t:.2f}s" for t in times)
+
+
+class TestSplitConversion:
+    """Logs of at least _SPLIT_MIN_ROWS rows are written and parsed half in a
+    forked child; the results must be those of the one-process path."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The pids forked during a test, which must all have been reaped."""
+        pids = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(logio, "_usable_cpus", lambda: 2)
+        yield pids
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def inline(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(logio, "_usable_cpus", lambda: 1)
+            return fn(*args)
+
+    @staticmethod
+    def assert_recordings_equal(a: TrajectoryRecording, b: TrajectoryRecording):
+        for name in ("timestamps", "points", "tool_active"):
+            got, want = getattr(a, name), getattr(b, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n", [_SPLIT_MIN_ROWS - 1, _SPLIT_MIN_ROWS, _SPLIT_MIN_ROWS + 1])
+    def test_trajectory_text_and_rows_equal_the_inline_path(self, rng, monkeypatch, forks, n):
+        rec = random_recording(rng, n)
+        text = self.inline(monkeypatch, serialize_trajectory_log, rec)
+        assert not forks
+        assert serialize_trajectory_log(rec) == text == row_by_row_trajectory_log(rec)
+        parsed = parse_trajectory_log(text)
+        assert len(forks) == (2 if n >= _SPLIT_MIN_ROWS else 0)
+        self.assert_recordings_equal(parsed, self.inline(monkeypatch, parse_trajectory_log, text))
+        self.assert_recordings_equal(parsed, rec)
+
+    def test_pose_log_text_and_rows_equal_the_inline_path(self, rng, monkeypatch, forks):
+        log = random_pose_log(rng, _SPLIT_MIN_ROWS + 1)
+        text = self.inline(monkeypatch, serialize_pose_log, log)
+        assert serialize_pose_log(log) == text
+        parsed = parse_pose_log(text)
+        assert len(forks) == 2
+        assert_pose_logs_equal(parsed, self.inline(monkeypatch, parse_pose_log, text))
+
+    def test_one_usable_cpu_forks_nothing(self, rng, monkeypatch, forks):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        monkeypatch.undo()  # the real CPU count, and os.fork uncounted
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+        rec = random_recording(rng, _SPLIT_MIN_ROWS)
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            parsed = parse_trajectory_log(serialize_trajectory_log(rec))
+        finally:
+            os.sched_setaffinity(0, cpus)
+        self.assert_recordings_equal(parsed, rec)
+
+    def test_blank_whitespace_and_crlf_lines_on_both_sides_of_the_split(
+        self, rng, monkeypatch, forks
+    ):
+        rec = random_recording(rng, _SPLIT_MIN_ROWS + 1)
+        lines = serialize_trajectory_log(rec).split("\n")
+        h = len(lines) // 2
+        for k in (1, 2, h - 2, h - 1, h, h + 1, len(lines) - 3):
+            lines[k] += "\r"
+        for k, extra in ((h + 2, " \t "), (h, ""), (h - 1, "\r"), (3, "   "), (2, "")):
+            lines.insert(k, extra)
+        for text in ("\n".join(lines), "\n".join(line for line in lines if line.strip())):
+            parsed = parse_trajectory_log(text)
+            inline = self.inline(monkeypatch, parse_trajectory_log, text)
+            self.assert_recordings_equal(parsed, inline)
+            self.assert_recordings_equal(parsed, rec)
+        assert forks
+
+    @pytest.mark.parametrize(
+        "row, edit, error, fragment",
+        [
+            # the first row after the split repeats the timestamp before it
+            (0, lambda f, before: [before[0], *f[1:]], NonMonotoneTime, "does not increase past"),
+            (1, lambda f, _: ["nan", *f[1:]], ParseError, "non-finite timestamp"),
+            (7, lambda f, _: [*f[:4], "2"], ParseError, "active flag must be 0 or 1"),
+            (-1, lambda f, _: [*f[:2], "1e", *f[3:]], ParseError, "bad y"),
+            (-2, lambda f, _: f[:4], ParseError, "expected 5 fields, got 4"),
+        ],
+    )
+    def test_first_error_in_the_childs_half_is_reported_at_its_line(
+        self, rng, monkeypatch, forks, row, edit, error, fragment
+    ):
+        n = _SPLIT_MIN_ROWS + 1
+        rec = random_recording(rng, n)
+        lines = serialize_trajectory_log(rec).split("\n")[:-1]
+        h = n // 2
+        k = 1 + h + row if row >= 0 else len(lines) + row
+        lines[k] = ",".join(edit(lines[k].split(","), lines[k - 1].split(",")))
+        lines[3] = lines[3] + "\r"  # an error-free CRLF line in the parent's half
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(error, match=fragment) as split:
+            parse_trajectory_log(text)
+        assert forks
+        with pytest.raises(error) as inline:
+            self.inline(monkeypatch, parse_trajectory_log, text)
+        assert split.value.line == inline.value.line == k + 1
+        assert str(split.value) == str(inline.value)
+
+    def test_a_half_that_fails_in_the_child_is_computed_again(self, forks):
+        parent = os.getpid()
+
+        def fail_in_child(how):
+            def fn(lo, hi):
+                if os.getpid() != parent:
+                    if how == "raise":
+                        raise RuntimeError("child only")
+                    if how == "exit":
+                        os._exit(7)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return list(range(lo, hi))
+            return fn
+
+        n = _SPLIT_MIN_ROWS + 1
+        for how in ("raise", "exit", "kill"):
+            first, second = _in_halves(fail_in_child(how), n)
+            assert first + second == list(range(n)), how
+        assert len(forks) == 3
+
+    def test_an_error_in_the_childs_half_is_raised_as_inline(self, monkeypatch, forks):
+        n = _SPLIT_MIN_ROWS + 1
+
+        def fn(lo, hi):
+            if hi == n:
+                raise ValueError("bad last row")
+            return lo
+
+        with pytest.raises(ValueError, match="bad last row"):
+            self.inline(monkeypatch, _in_halves, fn, n)
+        assert not forks
+        with pytest.raises(ValueError, match="bad last row"):
+            _in_halves(fn, n)
+        assert forks
+
+    def test_an_error_in_the_parents_half_propagates_past_a_full_pipe(self, forks):
+        # the child's half is far over a 64 KiB pipe buffer: the child blocks
+        # on its write until the parent closes the read end
+        def fn(lo, hi):
+            if lo == 0:
+                raise KeyError("parent half")
+            return "x" * (1 << 20)
+
+        def hung(*_):
+            signal.alarm(1)  # and again, should a later wait hang too
+            raise TimeoutError("_in_halves hung")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(KeyError, match="parent half"):
+                _in_halves(fn, _SPLIT_MIN_ROWS)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert forks
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
