@@ -51,16 +51,22 @@ _WRITE_CHUNK_ROWS = 4096
 
 # logs of at least this many data rows are written and parsed in two processes
 # (_in_halves). On a 2 vCPU Xeon (Python 3.11, numpy 2.4), a fork and pipe
-# round trip took 2-3.5 ms (more in a larger process), and the split broke even
-# at 6-8k trajectory rows for both the writer and the parse; about 3x that
-# keeps a margin for a busy second CPU
+# round trip took 2-3.5 ms (more in a larger process). The parse's split broke
+# even at 6-8k trajectory rows; about 3x that keeps a margin for a busy second
+# CPU. The writer's, with the float kernel, breaks even at 10-20k rows (split
+# over one-process time, medians of 5 fresh processes: 1.10 at 10k rows, 0.89
+# at 20k, 0.72 at 30k, 0.65 at 60k)
 _SPLIT_MIN_ROWS = 20_000
 
 # a pose log stores each frame as its index in this tuple
 _FRAMES = tuple(FrameId)
 _FRAME_CODE = {f: k for k, f in enumerate(_FRAMES)}
 _FRAME_CODE_BY_LABEL = {f.value: k for k, f in enumerate(_FRAMES)}
-_FRAME_LABELS = np.array([f.value for f in _FRAMES])
+# a frame label and its comma as the writer lays out fields: NUL-padded bytes
+_FRAME_FIELDS = np.array([f"{f.value}," for f in _FRAMES], dtype="S")
+_FRAME_FIELDS = _FRAME_FIELDS.view(np.uint8).reshape(len(_FRAMES), -1)
+# the active flag's field, by the flag
+_FLAG_FIELDS = np.frombuffer(b"0,1,", np.uint8).reshape(2, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,8 +318,8 @@ def serialize_pose_log(log: PoseLog) -> str:
     """Pose-log text of a PoseLog."""
     columns = (
         log.timestamps,
-        _FRAME_LABELS[log.sources],
-        _FRAME_LABELS[log.targets],
+        _FRAME_FIELDS[log.sources],
+        _FRAME_FIELDS[log.targets],
         *log.quats_wxyz.T,
         *log.translations.T,
     )
@@ -357,32 +363,275 @@ def parse_trajectory_log(data: str | bytes) -> TrajectoryRecording:
 
 
 def serialize_trajectory_log(rec: TrajectoryRecording) -> str:
-    columns = (rec.timestamps, *rec.points.T, rec.tool_active.view(np.uint8))
-    return _write_csv(TRAJECTORY_LOG_HEADER, columns)
+    flags = _FLAG_FIELDS[rec.tool_active.view(np.uint8)]
+    return _write_csv(TRAJECTORY_LOG_HEADER, (rec.timestamps, *rec.points.T, flags))
 
 
 def _write_csv(header: str, columns) -> str:
-    """CSV text of equal-length columns, column by column, a chunk of rows at
-    a time. The repr of a list of numbers is the repr of each number, so one
-    C call writes a numeric column's fields; string columns are written as
-    they are. Chunks bound the field strings alive at once, and a long log's
-    halves are written side by side (_in_halves)."""
+    """CSV text of equal-length columns, a chunk of rows at a time.
+
+    A column is float64 values or an (N, width) uint8 array of field bytes
+    that end in the field's comma, NUL-padded. One _float_fields call per
+    chunk lays out every float column. A row's fields side by side make one
+    fixed-width byte row, whose last byte becomes the LF and whose NUL bytes
+    one translate deletes. A long log's halves are written side by side
+    (_in_halves).
+    """
+    floats = [col for col in columns if col.ndim == 1]
+    width = sum(_FIELD_BYTES if col.ndim == 1 else col.shape[1] for col in columns)
 
     def chunks(lo: int, hi: int) -> list[str]:
         parts = []
         for start in range(lo, hi, _WRITE_CHUNK_ROWS):
             rows = slice(start, min(start + _WRITE_CHUNK_ROWS, hi))
-            fields = [
-                col[rows].tolist()
-                if col.dtype.kind == "U"
-                else repr(col[rows].tolist())[1:-1].split(", ")
-                for col in columns
-            ]
-            parts.append("\n".join(map(",".join, zip(*fields))))
+            fields = iter(_float_fields(np.stack([col[rows] for col in floats])))
+            buffer = bytearray((rows.stop - rows.start) * width)
+            line = np.frombuffer(buffer, np.uint8).reshape(-1, width)
+            blocks = [next(fields) if col.ndim == 1 else col[rows] for col in columns]
+            np.concatenate(blocks, axis=1, out=line)
+            line[:, -1] = ord("\n")
+            parts.append(buffer.translate(None, b"\0").decode("ascii"))
         return parts
 
     halves = _in_halves(chunks, len(columns[0]))
-    return "\n".join([header, *itertools.chain.from_iterable(halves)]) + "\n"
+    return "".join([header, "\n", *itertools.chain.from_iterable(halves)])
+
+
+# The float writer. Each float64 becomes the text repr gives it: the
+# shortest decimal that reads back as the same float (the closest such, ties
+# to an even last digit), positional from 1e-4 up to below 1e16, scientific
+# outside. Its digits come from Schubfach (R. Giulietti, "The Schubfach way to
+# render doubles", 2020), run on uint64 arrays with 128-bit products built
+# from 32-bit limbs. Every operand of a uint64 operation is a uint64 array or
+# an np.uint64 scalar, so that no numpy version promotes one to float64.
+
+_U = np.uint64
+_U32 = _U(32)
+_U63 = _U(63)
+_LOW32 = _U(2**32 - 1)
+_LOW63 = _U(2**63 - 1)
+_EXP_BITS = _U(0x7FF0_0000_0000_0000)  # a float with these all set is inf or nan
+
+# the decimal exponents k of the scaled powers of ten 10^-k
+_K_MIN, _K_MAX = -324, 292
+
+
+def _pow10_table() -> np.ndarray:
+    """(6, K) uint64 for k from _K_MIN to _K_MAX: g = floor(10^-k * 2^r) + 1,
+    r such that 2^125 <= g < 2^126, as the low and high 32-bit limbs of
+    g1 = g >> 63, those of g0 = g mod 2^63, then g1 and g0 whole."""
+    g = [0] * (_K_MAX - _K_MIN + 1)
+    five = 1  # 5^m: 10^m is 5^m times a power of two, 10^-m a power of two over 5^m
+    for m in range(-_K_MIN + 1):
+        b = five.bit_length()
+        g[-m - _K_MIN] = (five << (126 - b) if b <= 126 else five >> (b - 126)) + 1
+        if 0 < m <= _K_MAX:
+            g[m - _K_MIN] = (1 << (125 + b)) // five + 1
+        five *= 5
+    g1 = np.array([v >> 63 for v in g], dtype=np.uint64)
+    g0 = np.array([v & (2**63 - 1) for v in g], dtype=np.uint64)
+    return np.stack([g1 & _LOW32, g1 >> _U32, g0 & _LOW32, g0 >> _U32, g1, g0])
+
+
+_POW10_G = _pow10_table()
+
+
+def _mul128(a_lo, a_hi, b_lo, b_hi) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of a * b, each given as 32-bit limbs."""
+    ll = a_lo * b_lo
+    lh = a_lo * b_hi
+    hl = a_hi * b_lo
+    mid = ll >> _U32
+    mid += lh & _LOW32
+    mid += hl & _LOW32
+    hi = a_hi * b_hi
+    hi += lh >> _U32
+    hi += hl >> _U32
+    hi += mid >> _U32  # the carry out of the middle limbs
+    mid <<= _U32
+    ll &= _LOW32
+    mid |= ll
+    return hi, mid
+
+
+def _round_to_odd(x1, y1, y0) -> np.ndarray:
+    """Schubfach's rop(g, cp) from x1 = g0 * cp >> 64 and y1:y0 = g1 * cp:
+    about g * cp / 2^127, truncated, its last bit set where that is inexact."""
+    z = y0 >> _U(1)
+    z += x1
+    vb = y1 + (z >> _U63)
+    z &= _LOW63
+    z += _LOW63
+    vb |= z >> _U63
+    return vb
+
+
+def _scaled_interval(k, cp, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rop(g, cp), rop(g, cp - 2^lower) and rop(g, cp + 2^upper), g the power
+    of ten of k. The bounds' products are cp's minus or plus g shifted, so
+    only cp's product takes multiplications."""
+    g = np.take(_POW10_G, k - _K_MIN, axis=1)
+    cp_lo, cp_hi = cp & _LOW32, cp >> _U32
+    y1, y0 = _mul128(g[0], g[1], cp_lo, cp_hi)
+    x1, x0 = _mul128(g[2], g[3], cp_lo, cp_hi)
+    g1, g0 = g[4:]
+    # 128-bit differences and sums: a borrow leaves the low word above x0 or
+    # y0, a carry below
+    down, up = _U(64) - lower, _U(64) - upper
+    xl, yl = x0 - (g0 << lower), y0 - (g1 << lower)
+    vbl = _round_to_odd(x1 - (g0 >> down) - (xl > x0), y1 - (g1 >> down) - (yl > y0), yl)
+    xu, yu = x0 + (g0 << upper), y0 + (g1 << upper)
+    vbr = _round_to_odd(x1 + (g0 >> up) + (xu < x0), y1 + (g1 >> up) + (yu < y0), yu)
+    return _round_to_odd(x1, y1, y0), vbl, vbr
+
+
+def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k): f * 10^k is the shortest decimal that reads back as each float
+    of ``bits`` (finite, nonzero, as uint64), the closest such, ties to even
+    f; f may end in zeros. Schubfach's steps for all the floats at once, in
+    its names: u = s * 10^k, w = (s + 1) * 10^k, u' and w' the multiples of
+    10 * 10^k at or below and above."""
+    exponent = (bits >> _U(52)) & _U(0x7FF)
+    c = bits & _U(2**52 - 1)
+    # at a power of two above the least normal the gap below is half the gap above
+    irregular = (c == _U(0)) & (exponent > _U(1))
+    normal = exponent != _U(0)
+    c |= normal.astype(np.uint64) << _U(52)
+    q = exponent.view(np.int64) + ~normal - 1075  # the float is c * 2^q
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).view(np.uint64)
+    # 4 * c * 2^q / 10^k and the bounds of the float's rounding interval, rounded to odd
+    vb, vbl, vbr = _scaled_interval(k, c << (h + _U(2)), h + _U(1) - irregular, h + _U(1))
+    inclusive = c & _U(1)  # an even c rounds its interval's bounds to itself
+    vbl += inclusive
+    vbr -= inclusive
+    s = vb >> _U(2)
+    s10 = s // _U(10) * _U(10)
+    u10_in = vbl <= s10 << _U(2)
+    w10_in = (s10 << _U(2)) + _U(40) <= vbr
+    s4 = s << _U(2)
+    u_in, w_in = vbl <= s4, s4 + _U(4) <= vbr
+    mid = s4 + _U(2)
+    w_closer = (vb > mid) | ((vb == mid) & (s & _U(1)).astype(bool))
+    # the one of u and w inside, or where both are, the closer; but the one
+    # of u' and w' inside where just one is, having a digit fewer
+    f = s + np.where(u_in != w_in, w_in, w_closer)
+    f += (u10_in != w10_in) * (s10 + (~u10_in) * _U(10) - f)
+    return f, k
+
+
+# A float's field is 48 bytes, six 8-byte words from _FIELD_WORDS:
+#   0       the sign, "-" or NUL
+#   1-5     "0.000": "0." before a value below 1, and up to three zeros after it
+#   6-39    the 17 significant digits, each followed by "."
+#   40-44   "e", the exponent's sign and digits (the hundreds NUL below 100)
+#   45-47   NUL, NUL, the comma after the field
+# ANDed with one of _LAYOUT_MASKS, it keeps the bytes of repr's text.
+_FIELD_BYTES = 48
+_DIGIT_CHARS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+# the word table: the first words (sign and first digit, 20), 4-digit groups
+# (10,000) and the exponents (-324 to 308); a field's index into each part
+_WORD_OFFSETS = np.array([0, 20, 20, 20, 20, 10_020 + 324])
+# the places d of the decimal point in positional text (the value is 0.d1d2... * 10^d)
+_D_MIN, _D_MAX = -3, 16
+# floats per kernel pass: bounds the temporaries alive at once
+_FIELD_BLOCK = 8192
+
+
+def _words(rows) -> np.ndarray:
+    """Rows of bytes as uint64 words."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint64)
+
+
+def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The word table, the trailing zeros of each 4-digit group, and the
+    layout masks: row (d - _D_MIN) * 17 + n - 1 for positional text with n
+    significant digits, row 340 + n - 1 for scientific text."""
+    first = np.tile(np.frombuffer(b"\x000.000\x00.", np.uint8), (20, 1))
+    first[10:, 0] = ord("-")
+    first[:, 6] = np.tile(_DIGIT_CHARS, 2)
+    group = np.arange(10_000, dtype=np.uint16)
+    groups = np.full((10_000, 8), ord("."), np.uint8)
+    for i, place in enumerate((1000, 100, 10, 1)):
+        groups[:, 2 * i] = _DIGIT_CHARS[group // place % 10]
+    e = abs(np.arange(-324, 309))
+    exponents = np.zeros((len(e), 8), np.uint8)
+    exponents[:, :2] = np.frombuffer(b"e-", np.uint8)
+    exponents[324:, 1] = ord("+")
+    exponents[:, 2] = np.where(e >= 100, _DIGIT_CHARS[e // 100], 0)
+    exponents[:, 3] = _DIGIT_CHARS[e // 10 % 10]
+    exponents[:, 4] = _DIGIT_CHARS[e % 10]
+    exponents[:, 7] = ord(",")
+    words = np.concatenate([_words(first), _words(groups), _words(exponents)])[:, 0]
+    trailing_zeros = sum((group % place == 0).view(np.uint8) for place in (10, 100, 1000, 10_000))
+
+    n = np.tile(np.arange(1, 18), _D_MAX - _D_MIN + 2)[:, None]
+    d = np.repeat(np.arange(_D_MIN, _D_MAX + 2), 17)[:, None]  # _D_MAX + 1: scientific
+    positional, j = d <= _D_MAX, np.arange(1, 18)
+    keep = np.zeros((len(d), _FIELD_BYTES), bool)
+    keep[:, [0, -1]] = True
+    keep[:, 1:3] = positional & (d <= 0)
+    keep[:, 3:6] = positional & (np.arange(1, 4) <= -d)
+    # positional text shows every digit up to the point and one after it
+    keep[:, 6:40:2] = j <= np.where(positional, np.maximum(n, d + 1), n)
+    keep[:, 7:40:2] = np.where(positional, j == d, (j == 1) & (n > 1))
+    keep[:, 40:45] = ~positional
+    return words, trailing_zeros, _words(keep.view(np.uint8) * np.uint8(0xFF))
+
+
+_FIELD_WORDS, _GROUP_TRAILING_ZEROS, _LAYOUT_MASKS = _field_tables()
+# the fields of nan (whatever its sign and payload), inf and -inf
+_NON_FINITE_WORDS = _words(
+    [list(f"{x},".rjust(_FIELD_BYTES, "\0").encode()) for x in ("nan", "inf", "-inf")]
+)
+
+
+def _float_fields(values: np.ndarray) -> np.ndarray:
+    """(..., 48) uint8: the field of each float64 of ``values``, its repr and
+    a comma, NUL-padded (see the layout above)."""
+    bits = values.reshape(-1).view(np.uint64)
+    words = np.empty((len(bits), _FIELD_BYTES // 8), np.uint64)
+    for start in range(0, len(bits), _FIELD_BLOCK):
+        block = slice(start, start + _FIELD_BLOCK)
+        words[block] = _field_words(bits[block])
+    return words.view(np.uint8).reshape(*values.shape, _FIELD_BYTES)
+
+
+def _field_words(bits: np.ndarray) -> np.ndarray:
+    """The six words of each float's field."""
+    magnitude = bits & _LOW63
+    finite_nonzero = (magnitude != _U(0)) & (magnitude < _EXP_BITS)
+    f, k = _shortest_decimal(bits)
+    f *= finite_nonzero  # a zero has the digits 0; nan and inf are written below
+    # the digit count of f: a bit length b gives floor(log10(2^b)) digits or one more
+    t = (np.frexp(f.astype(np.float64))[1] * 1233) >> 12
+    digits = t + (f >= np.take(_POW10, t))
+    point = np.where(finite_nonzero, k + digits, 1)
+    # the 17 digits of f left-aligned: the first, then four groups of 4
+    f *= np.take(_POW10, 17 - digits)
+    first = f // _U(10**16)
+    rest = f - first * _U(10**16)
+    high = rest // _U(10**8)
+    rest -= high * _U(10**8)
+    groups = np.stack([high // _U(10**4), high, rest // _U(10**4), rest]).view(np.int64)
+    groups[1::2] -= groups[::2] * 10**4
+    z = np.take(_GROUP_TRAILING_ZEROS, groups)
+    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    scientific = (point < _D_MIN) | (point > _D_MAX)
+    # n - 1 = 16 - zeros for n significant digits
+    layout = np.where(scientific, 340, (point - _D_MIN) * 17) + 16 - zeros
+    first += (bits >> _U63) * _U(10)
+    index = np.stack([first.view(np.int64), *groups, point - 1], axis=1)
+    index += _WORD_OFFSETS
+    words = np.take(_FIELD_WORDS, index)
+    words &= np.take(_LAYOUT_MASKS, layout, axis=0)
+    non_finite = np.flatnonzero(magnitude >= _EXP_BITS)
+    if len(non_finite):
+        sign = (bits[non_finite] >> _U63).view(np.int64)
+        nan = magnitude[non_finite] > _EXP_BITS
+        words[non_finite] = _NON_FINITE_WORDS[np.where(nan, 0, 1 + sign)]
+    return words
 
 
 @dataclass(frozen=True)

@@ -665,6 +665,90 @@ class TestTrajectoryLog:
         assert min(times) < 2.0, "parse took " + ", ".join(f"{t:.2f}s" for t in times)
 
 
+def pose_log_of_values(values) -> PoseLog:
+    """Rows of eight float fields holding ``values`` in order, zero-padded."""
+    rows = np.zeros((-(-len(values) // 8), 8))
+    rows.flat[: len(values)] = values
+    frames = np.zeros(len(rows), dtype=int)
+    return PoseLog(rows[:, 0], frames, frames + 1, rows[:, 1:5], rows[:, 5:])
+
+
+def recording_of_values(values) -> TrajectoryRecording:
+    """The distinct finite values (and -1.0 to 6.0) in order, four a row:
+    the timestamp and the point, the last row padded with the largest."""
+    distinct = np.unique(np.concatenate([values[np.isfinite(values)], np.arange(-1.0, 7.0)]))
+    rows = np.concatenate([distinct, np.full(-len(distinct) % 4, distinct[-1])]).reshape(-1, 4)
+    return TrajectoryRecording(rows[:, 0], rows[:, 1:], np.arange(len(rows)) % 3 == 0)
+
+
+def neighbours(values) -> np.ndarray:
+    """Each value, the floats just below and above it, and their negations."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the float above the largest is inf
+        around = [np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)]
+    return np.concatenate([*around, *(-v for v in around)])
+
+
+class TestFloatText:
+    """Both writers give every float64 the bytes repr gives it."""
+
+    @staticmethod
+    def assert_written_as_repr(values):
+        values = np.asarray(values, dtype=np.float64)
+        log = pose_log_of_values(values)
+        # rows_of_log with Python floats, which the reference reprs faster
+        frames = list(FrameId)
+        columns = [log.timestamps, log.sources, log.targets, log.quats_wxyz, log.translations]
+        columns = zip(*(column.tolist() for column in columns))
+        rows = [(t, frames[s], frames[g], q, p) for t, s, g, q, p in columns]
+        assert serialize_pose_log(log) == row_by_row_pose_log(rows)
+        rec = recording_of_values(values)
+        assert serialize_trajectory_log(rec) == row_by_row_trajectory_log(rec)
+
+    def test_a_million_random_bit_patterns(self):
+        bits = np.random.default_rng(18).integers(0, 2**64, 1_050_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert len(values) >= 1_000_000 and (values < 0).any() and (values > 0).any()
+        self.assert_written_as_repr(values)
+
+    def test_powers_of_two_and_ten(self):
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        self.assert_written_as_repr(neighbours(np.concatenate([twos, tens])))
+
+    def test_where_the_text_switches_layout(self):
+        # scientific below 1e-4 and from 1e16 up, positional between; 2^53 is
+        # where consecutive floats first differ by 2
+        switches = [1e-5, 9.999999999999999e-05, 1e-4, 1e16, 2.0**53]
+        self.assert_written_as_repr(neighbours(switches))
+        text = serialize_pose_log(pose_log_of_values(np.array(switches)))
+        row = "1e-05,S,EE,9.999999999999999e-05,0.0001,1e+16,9007199254740992.0,0.0,0.0,0.0"
+        assert text == f"{POSE_LOG_HEADER}\n{row}\n"
+
+    def test_extremes_and_zeros(self):
+        self.assert_written_as_repr(
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, -5e-324]
+        )
+
+    def test_nan_and_infinities_in_a_pose_log(self):
+        # the PoseLog constructor does not reject them; the parser would
+        payload_nan = np.array([0x7FF0_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        values = [np.nan, np.inf, -np.inf, np.copysign(np.nan, -1.0), payload_nan, 1.5]
+        log = pose_log_of_values(values)
+        text = serialize_pose_log(log)
+        assert text == row_by_row_pose_log(rows_of_log(log))
+        assert text.splitlines()[1] == "nan,S,EE,inf,-inf,nan,nan,1.5,0.0,0.0"
+
+    @PROPERTY
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        self.assert_written_as_repr(values)
+
+    def test_a_log_of_no_rows_is_its_header(self):
+        assert serialize_pose_log(pose_log_of_values(np.empty(0))) == POSE_LOG_HEADER + "\n"
+
+
 class TestSplitConversion:
     """Logs of at least _SPLIT_MIN_ROWS rows are written and parsed half in a
     forked child; the results must be those of the one-process path."""
