@@ -5,13 +5,14 @@ Trajectory log columns:  timestamp,x,y,z,active
 
 A pose-log row stores the pose of the ``target`` frame expressed in the
 ``source`` frame (so source=S, target=EE is the robot's forward-kinematic
-pose). Units are millimeters and seconds, dot decimal separator. Floats are
-written with repr so serialize -> parse is lossless.
+pose). Units are millimeters and seconds, dot decimal separator. A numpy
+kernel writes each float as repr's bytes, so serialize -> parse is lossless.
 
 Both CSV logs are read alike. Lines end in LF, and a CR just before an LF is
 ignored; blank and whitespace-only lines are skipped. A row is checked field
 by field, left to right. A bad log raises a ParseError at the 1-based line of
-its first error in file order.
+its first error in file order. One bulk np.loadtxt reads a log whose rows pass
+a vectorized test; a line scan reads any other log to the same rows, or raises.
 
 A log of at least _SPLIT_MIN_ROWS rows is written and parsed in two processes
 where ``os.fork`` exists and a second CPU is usable: a forked child converts
@@ -21,6 +22,7 @@ one-process path, and errors are still found and reported by this process.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
@@ -51,11 +53,11 @@ _WRITE_CHUNK_ROWS = 4096
 
 # logs of at least this many data rows are written and parsed in two processes
 # (_in_halves). On a 2 vCPU Xeon (Python 3.11, numpy 2.4), a fork and pipe
-# round trip took 2-3.5 ms (more in a larger process). The parse's split broke
-# even at 6-8k trajectory rows; about 3x that keeps a margin for a busy second
-# CPU. The writer's, with the float kernel, breaks even at 10-20k rows (split
-# over one-process time, medians of 5 fresh processes: 1.10 at 10k rows, 0.89
-# at 20k, 0.72 at 30k, 0.65 at 60k)
+# round trip took 2-3.5 ms (more in a larger process). Split time over
+# one-process time, medians of 15 alternating runs at 20k, 30k, 40k and 60k
+# trajectory rows: parse 0.70-0.90 and write 0.69-0.86 in fresh processes and
+# in ones that had written logs of 5k-200k rows, except the write at 20k in
+# the latter (0.94-0.96). The write split lost at 10k rows (1.10).
 _SPLIT_MIN_ROWS = 20_000
 
 # a pose log stores each frame as its index in this tuple
@@ -158,26 +160,15 @@ def _frame_code(label: str) -> float:
 def _read_csv(data: str | bytes, header: str, valid, scan, converters=None) -> np.ndarray:
     """The data rows of a CSV log as one (N, columns) float array.
 
-    One bulk ``np.loadtxt`` parses the lines and ``valid`` tests the whole
-    array. Where the parse fails or the test is false, ``scan`` walks the
-    lines in file order and raises the first error; it words every row error.
+    One bulk ``np.loadtxt`` parses the lines after the header, in halves
+    (_in_halves), and ``valid`` tests the whole array. Where a half fails to
+    parse or the test is false, ``scan`` reads the lines instead: it returns
+    the same rows or raises the first error in file order.
     """
     lines = _decode(data).split("\n")
     if lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", 1)
     width = header.count(",") + 1
-    rows = _load_rows(lines, width, converters)
-    if rows is None or not valid(rows):
-        scan(lines)
-        # every row is good, so loadtxt tripped on whitespace-only lines,
-        # which it skips only when empty
-        rows = _load_rows(list(filter(str.strip, lines)), width, converters)
-    return rows
-
-
-def _load_rows(lines: list[str], width: int, converters) -> np.ndarray | None:
-    """The lines after the header as rows of ``width`` numbers; None where
-    loadtxt rejects them."""
 
     def load(lo: int, hi: int) -> np.ndarray | None:
         part = lines[1 + lo : 1 + hi]
@@ -189,13 +180,12 @@ def _load_rows(lines: list[str], width: int, converters) -> np.ndarray | None:
             return None
         return rows if rows.shape[1] == width else None
 
-    n = len(lines) - 1
-    if not lines[-1]:  # the LF that ends the last line starts no row
-        n -= 1
-    halves = _in_halves(load, n)
+    # the LF that ends the last line starts no row
+    halves = _in_halves(load, len(lines) - 1 - (not lines[-1]))
     if any(rows is None for rows in halves):
-        return None
-    return np.concatenate(halves) if len(halves) > 1 else halves[0]
+        return scan(lines)
+    rows = np.concatenate(halves)
+    return rows if valid(rows) else scan(lines)
 
 
 def _usable_cpus() -> int:
@@ -276,9 +266,11 @@ def _pose_rows_valid(rows: np.ndarray) -> bool:
     )
 
 
-def _scan_pose_lines(lines: list[str]) -> None:
-    """Raise the first error of a pose log."""
-    seen = set()
+def _scan_pose_lines(lines: list[str]) -> np.ndarray:
+    """The (N, 10) rows of a pose log, read line by line; the first error in
+    file order is raised. A row is the bulk parse's: frames as their codes,
+    the quaternion as written."""
+    rows, seen = array.array("d"), set()
     for lineno, fields in _data_fields(lines, 10):
         key = (_parse_float(fields[0], "timestamp", lineno), *map(_frame_code, fields[1:3]))
         for label, code in zip(fields[1:3], key[1:]):
@@ -289,11 +281,12 @@ def _scan_pose_lines(lines: list[str]) -> None:
             raise ParseError(f"duplicate {source},{target} row at timestamp {key[0]!r}", lineno)
         seen.add(key)
         quat = [_parse_float(f, "quaternion component", lineno) for f in fields[3:7]]
-        for field in fields[7:]:
-            _parse_float(field, "translation component", lineno)
+        translation = [_parse_float(f, "translation component", lineno) for f in fields[7:]]
         norm = _norms(np.array(quat))
         if not QUAT_NORM_WINDOW[0] <= norm <= QUAT_NORM_WINDOW[1]:
             raise ParseError(f"quaternion norm {norm:.6g} outside {QUAT_NORM_WINDOW}", lineno)
+        rows.extend((*key, *quat, *translation))
+    return np.frombuffer(rows).reshape(-1, 10)
 
 
 def parse_pose_log(data: str | bytes) -> PoseLog:
@@ -335,17 +328,21 @@ def _trajectory_rows_valid(rows: np.ndarray) -> bool:
     )
 
 
-def _scan_trajectory_lines(lines: list[str]) -> None:
-    """Raise the first error of a trajectory log."""
+def _scan_trajectory_lines(lines: list[str]) -> np.ndarray:
+    """The (N, 5) rows of a trajectory log, read line by line; the first
+    error in file order is raised."""
     names = TRAJECTORY_LOG_HEADER.split(",")
-    previous = -math.inf
+    rows, previous = array.array("d"), -math.inf
     for lineno, fields in _data_fields(lines, 5):
-        t, _, _, _, active = (_parse_float(f, name, lineno) for f, name in zip(fields, names))
+        row = [_parse_float(f, name, lineno) for f, name in zip(fields, names)]
+        t, active = row[0], row[4]
         if not t > previous:
             raise NonMonotoneTime(f"timestamp {t!r} does not increase past {previous!r}", lineno)
         if active not in (0.0, 1.0):
             raise ParseError(f"active flag must be 0 or 1, got {active}", lineno)
+        rows.extend(row)
         previous = t
+    return np.frombuffer(rows).reshape(-1, 5)
 
 
 def parse_trajectory_log(data: str | bytes) -> TrajectoryRecording:

@@ -547,6 +547,21 @@ def test_a_carriage_return_only_ends_a_line(parse, rows):
         assert exc.value.line == 4 and "carriage return" in str(exc.value)
 
 
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The line count of each np.loadtxt call this process makes; a forked
+    child's calls land in its own copy of the list."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(lines, *args, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
 class TestTrajectoryLog:
     def test_two_rows_parse(self):
         text = TRAJECTORY_LOG_HEADER + "\n0.0,1.0,2.0,3.0,1\n0.1,1.5,2.0,3.0,0\n"
@@ -642,9 +657,10 @@ class TestTrajectoryLog:
         assert exc.value.line == 5
         assert "timestamp 0.0 does not increase past 0.0" in str(exc.value)
 
-    def test_whitespace_only_lines_are_skipped(self):
+    def test_whitespace_only_lines_are_skipped(self, loadtxt_calls):
         text = TRAJECTORY_LOG_HEADER + "\n0.0,1,2,3,1\n   \n\t\n\n0.1,4,5,6,0\n  \n"
         rec = parse_trajectory_log(text)
+        assert loadtxt_calls == [6]  # the bulk parse fails; the line scan gives the rows
         assert rec.timestamps.tolist() == [0.0, 0.1]
         assert rec.points.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         assert rec.tool_active.tolist() == [True, False]
@@ -689,6 +705,19 @@ def neighbours(values) -> np.ndarray:
     return np.concatenate([*around, *(-v for v in around)])
 
 
+# fixed float inputs: every power of two and of ten with both neighbours; the
+# points where the text switches layout (scientific below 1e-4 and from 1e16
+# up, positional between; 2^53 is where consecutive floats first differ by 2);
+# and the extremes, zeros and subnormals
+POWERS = neighbours(
+    np.concatenate(
+        [np.ldexp(1.0, np.arange(-1074, 1024)), [float(f"1e{e}") for e in range(-323, 309)]]
+    )
+)
+SWITCHES = [1e-5, 9.999999999999999e-05, 1e-4, 1e16, 2.0**53]
+EXTREMES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, -5e-324]
+
+
 class TestFloatText:
     """Both writers give every float64 the bytes repr gives it."""
 
@@ -713,23 +742,16 @@ class TestFloatText:
         self.assert_written_as_repr(values)
 
     def test_powers_of_two_and_ten(self):
-        twos = np.ldexp(1.0, np.arange(-1074, 1024))
-        tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
-        self.assert_written_as_repr(neighbours(np.concatenate([twos, tens])))
+        self.assert_written_as_repr(POWERS)
 
     def test_where_the_text_switches_layout(self):
-        # scientific below 1e-4 and from 1e16 up, positional between; 2^53 is
-        # where consecutive floats first differ by 2
-        switches = [1e-5, 9.999999999999999e-05, 1e-4, 1e16, 2.0**53]
-        self.assert_written_as_repr(neighbours(switches))
-        text = serialize_pose_log(pose_log_of_values(np.array(switches)))
+        self.assert_written_as_repr(neighbours(SWITCHES))
+        text = serialize_pose_log(pose_log_of_values(np.array(SWITCHES)))
         row = "1e-05,S,EE,9.999999999999999e-05,0.0001,1e+16,9007199254740992.0,0.0,0.0,0.0"
         assert text == f"{POSE_LOG_HEADER}\n{row}\n"
 
     def test_extremes_and_zeros(self):
-        self.assert_written_as_repr(
-            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, -5e-324]
-        )
+        self.assert_written_as_repr(EXTREMES)
 
     def test_nan_and_infinities_in_a_pose_log(self):
         # the PoseLog constructor does not reject them; the parser would
@@ -747,6 +769,63 @@ class TestFloatText:
 
     def test_a_log_of_no_rows_is_its_header(self):
         assert serialize_pose_log(pose_log_of_values(np.empty(0))) == POSE_LOG_HEADER + "\n"
+
+
+def pose_log_of_translations(values) -> PoseLog:
+    """Identity poses, stamped 0, 1, ..., whose translations hold ``values``
+    in order, zero-padded."""
+    translations = np.zeros((-(-len(values) // 3), 3))
+    translations.flat[: len(values)] = values
+    n = len(translations)
+    frames = np.zeros(n, dtype=int)
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    return PoseLog(np.arange(n, dtype=np.float64), frames, frames + 1, quats, translations)
+
+
+class TestBothReadPaths:
+    """The line scan returns the rows of the bulk parse bit for bit, so it can
+    read any log that the bulk parse rejects but the scan accepts."""
+
+    @staticmethod
+    def assert_paths_agree(text, header, valid, scan, converters=None):
+        def scanned(lines):
+            pytest.fail("the bulk parse rejected a valid log")
+
+        bulk = logio._read_csv(text, header, valid, scanned, converters)
+        rows = scan(text.split("\n"))
+        assert rows.dtype == bulk.dtype and rows.shape == bulk.shape
+        assert rows.tobytes() == bulk.tobytes()
+
+    def assert_pose_paths_agree(self, text):
+        converters = {1: logio._frame_code, 2: logio._frame_code}
+        self.assert_paths_agree(
+            text, POSE_LOG_HEADER, logio._pose_rows_valid, logio._scan_pose_lines, converters
+        )
+
+    def assert_trajectory_paths_agree(self, text):
+        self.assert_paths_agree(
+            text, TRAJECTORY_LOG_HEADER, logio._trajectory_rows_valid, logio._scan_trajectory_lines
+        )
+
+    @PROPERTY
+    @given(recordings())
+    def test_trajectory_logs(self, rec):
+        self.assert_trajectory_paths_agree(serialize_trajectory_log(rec))
+
+    @PROPERTY
+    @given(pose_rows())
+    def test_pose_logs(self, rows):
+        self.assert_pose_paths_agree(row_by_row_pose_log(rows))
+
+    @pytest.mark.parametrize(
+        "values",
+        [POWERS, neighbours(SWITCHES), EXTREMES],
+        ids=["powers", "layout switches", "extremes"],
+    )
+    def test_fixed_floats(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        self.assert_trajectory_paths_agree(serialize_trajectory_log(recording_of_values(values)))
+        self.assert_pose_paths_agree(serialize_pose_log(pose_log_of_translations(values)))
 
 
 class TestSplitConversion:
@@ -862,6 +941,16 @@ class TestSplitConversion:
             self.inline(monkeypatch, parse_trajectory_log, text)
         assert split.value.line == inline.value.line == k + 1
         assert str(split.value) == str(inline.value)
+
+    def test_a_half_that_loadtxt_rejects_in_the_child_is_not_parsed_again(
+        self, rng, forks, loadtxt_calls
+    ):
+        text = serialize_trajectory_log(random_recording(rng, _SPLIT_MIN_ROWS)) + "x,0,0,0,1\n"
+        forks.clear()  # the writer's
+        with pytest.raises(ParseError, match="bad timestamp") as exc:
+            parse_trajectory_log(text)
+        assert exc.value.line == _SPLIT_MIN_ROWS + 2
+        assert len(forks) == 1 and loadtxt_calls == [(_SPLIT_MIN_ROWS + 1) // 2]
 
     def test_a_half_that_fails_in_the_child_is_computed_again(self, forks):
         parent = os.getpid()
