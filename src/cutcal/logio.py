@@ -6,7 +6,8 @@ Trajectory log columns:  timestamp,x,y,z,active
 A pose-log row stores the pose of the ``target`` frame expressed in the
 ``source`` frame (so source=S, target=EE is the robot's forward-kinematic
 pose). Units are millimeters and seconds, dot decimal separator. A numpy
-kernel writes each float as repr's bytes, so serialize -> parse is lossless.
+kernel writes each float as repr's bytes, so serialize -> parse is lossless;
+the writer makes one kernel pass per block of rows holding _FIELD_BLOCK floats.
 
 Both CSV logs are read alike. Lines end in LF, and a CR just before an LF is
 ignored; blank and whitespace-only lines are skipped. A row is checked field
@@ -47,9 +48,6 @@ QUAT_NORM_WINDOW = (0.999, 1.001)
 
 # largest plan analysis.K: the depth profile holds K floats, so memory bounds it
 MAX_BIN_COUNT = 1_000_000
-
-# rows per chunk of the trajectory-log writer
-_WRITE_CHUNK_ROWS = 4096
 
 # logs of at least this many data rows are written and parsed in two processes
 # (_in_halves). On a 2 vCPU Xeon (Python 3.11, numpy 2.4), a fork and pipe
@@ -365,23 +363,25 @@ def serialize_trajectory_log(rec: TrajectoryRecording) -> str:
 
 
 def _write_csv(header: str, columns) -> str:
-    """CSV text of equal-length columns, a chunk of rows at a time.
+    """CSV text of equal-length columns, a block of rows at a time.
 
     A column is float64 values or an (N, width) uint8 array of field bytes
-    that end in the field's comma, NUL-padded. One _float_fields call per
-    chunk lays out every float column. A row's fields side by side make one
-    fixed-width byte row, whose last byte becomes the LF and whose NUL bytes
-    one translate deletes. A long log's halves are written side by side
-    (_in_halves).
+    that end in the field's comma, NUL-padded. A block holds _FIELD_BLOCK
+    floats: one _field_words call lays out every float column of its rows.
+    A row's fields side by side make one fixed-width byte row, whose last
+    byte becomes the LF and whose NUL bytes one translate deletes. A long
+    log's halves are written side by side (_in_halves).
     """
     floats = [col for col in columns if col.ndim == 1]
     width = sum(_FIELD_BYTES if col.ndim == 1 else col.shape[1] for col in columns)
+    step = _FIELD_BLOCK // len(floats)
 
-    def chunks(lo: int, hi: int) -> list[str]:
+    def write(lo: int, hi: int) -> list[str]:
         parts = []
-        for start in range(lo, hi, _WRITE_CHUNK_ROWS):
-            rows = slice(start, min(start + _WRITE_CHUNK_ROWS, hi))
-            fields = iter(_float_fields(np.stack([col[rows] for col in floats])))
+        for start in range(lo, hi, step):
+            rows = slice(start, min(start + step, hi))
+            words = _field_words(np.stack([col[rows] for col in floats]).view(np.uint64).ravel())
+            fields = iter(words.view(np.uint8).reshape(len(floats), -1, _FIELD_BYTES))
             buffer = bytearray((rows.stop - rows.start) * width)
             line = np.frombuffer(buffer, np.uint8).reshape(-1, width)
             blocks = [next(fields) if col.ndim == 1 else col[rows] for col in columns]
@@ -390,7 +390,7 @@ def _write_csv(header: str, columns) -> str:
             parts.append(buffer.translate(None, b"\0").decode("ascii"))
         return parts
 
-    halves = _in_halves(chunks, len(columns[0]))
+    halves = _in_halves(write, len(columns[0]))
     return "".join([header, "\n", *itertools.chain.from_iterable(halves)])
 
 
@@ -532,7 +532,9 @@ _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _WORD_OFFSETS = np.array([0, 20, 20, 20, 20, 10_020 + 324])
 # the places d of the decimal point in positional text (the value is 0.d1d2... * 10^d)
 _D_MIN, _D_MAX = -3, 16
-# floats per kernel pass: bounds the temporaries alive at once
+# floats per kernel pass, which bounds the temporaries alive at once. On a
+# 2 vCPU Xeon (numpy 2.4), at 16,384 every 128 KiB temporary was freshly
+# page-faulted (0.069 faults per value), and a pass took about 2x as long.
 _FIELD_BLOCK = 8192
 
 
@@ -584,19 +586,9 @@ _NON_FINITE_WORDS = _words(
 )
 
 
-def _float_fields(values: np.ndarray) -> np.ndarray:
-    """(..., 48) uint8: the field of each float64 of ``values``, its repr and
-    a comma, NUL-padded (see the layout above)."""
-    bits = values.reshape(-1).view(np.uint64)
-    words = np.empty((len(bits), _FIELD_BYTES // 8), np.uint64)
-    for start in range(0, len(bits), _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
-        words[block] = _field_words(bits[block])
-    return words.view(np.uint8).reshape(*values.shape, _FIELD_BYTES)
-
-
 def _field_words(bits: np.ndarray) -> np.ndarray:
-    """The six words of each float's field."""
+    """(N, 6) uint64: the field of each float64 of ``bits`` (its uint64
+    view), its repr and a comma, NUL-padded (see the layout above)."""
     magnitude = bits & _LOW63
     finite_nonzero = (magnitude != _U(0)) & (magnitude < _EXP_BITS)
     f, k = _shortest_decimal(bits)

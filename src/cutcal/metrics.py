@@ -167,11 +167,18 @@ def _projections(rec: TrajectoryRecording, plan: PlannedCut) -> tuple[np.ndarray
     return rel @ plan.direction, rel @ plan.depth_axis, rel @ plan.lateral_axis
 
 
-def _gate_mask(rec: TrajectoryRecording, s: np.ndarray, plan: PlannedCut, gate: GatePolicy) -> np.ndarray:
+def _gated_projections(
+    rec: TrajectoryRecording, plan: PlannedCut, gate: GatePolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The along-cut, depth and lateral projections of the samples the gate
+    keeps; EmptyAfterGating if it keeps none."""
+    s, depth, lateral = _projections(rec, plan)
     mask = (s >= -gate.s_margin_mm) & (s <= plan.length_mm + gate.s_margin_mm)
     if gate.active_only:
         mask &= rec.tool_active
-    return mask
+    if not mask.any():
+        raise EmptyAfterGating("no samples survive the gating policy")
+    return s[mask], depth[mask], lateral[mask]
 
 
 def perpendicular_errors(
@@ -189,14 +196,11 @@ def perpendicular_errors(
     Raises:
         EmptyAfterGating: the gate removed every sample.
     """
-    s, depth, lateral = _projections(rec, plan)
-    mask = _gate_mask(rec, s, plan, gate)
-    if not mask.any():
-        raise EmptyAfterGating("no samples survive the gating policy")
+    _, depth, lateral = _gated_projections(rec, plan, gate)
     if lateral_mode == "lateral":
-        return np.abs(lateral[mask])
+        return np.abs(lateral)
     if lateral_mode == "line3d":
-        return np.hypot(lateral[mask], depth[mask])
+        return np.hypot(lateral, depth)
     raise ValueError(f"unknown lateral_mode {lateral_mode!r}")
 
 
@@ -210,26 +214,16 @@ def trajectory_rmse(errors) -> float:
 
 def executed_length(rec: TrajectoryRecording, plan: PlannedCut, gate: GatePolicy = GatePolicy()) -> float:
     """Span of along-cut travel over gated samples: max - min projection, mm."""
-    s, _, _ = _projections(rec, plan)
-    mask = _gate_mask(rec, s, plan, gate)
-    if not mask.any():
-        raise EmptyAfterGating("no samples survive the gating policy")
-    kept = s[mask]
-    return float(kept.max() - kept.min())
+    s, _, _ = _gated_projections(rec, plan, gate)
+    return float(s.max() - s.min())
 
 
 def procedure_time(rec: TrajectoryRecording) -> float:
     """Total tool-active time: summed durations of contiguous active runs, s."""
-    active = rec.tool_active
-    if not active.any():
-        return 0.0
-    flags = active.astype(np.int8)
-    starts = np.flatnonzero(np.diff(flags) == 1) + 1
-    ends = np.flatnonzero(np.diff(flags) == -1)
-    if active[0]:
-        starts = np.concatenate(([0], starts))
-    if active[-1]:
-        ends = np.concatenate((ends, [len(active) - 1]))
+    # padded with inactive samples, every run has a rising and a falling edge
+    edges = np.diff(rec.tool_active.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
     return float(np.sum(rec.timestamps[ends] - rec.timestamps[starts]))
 
 

@@ -137,11 +137,18 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return rotation_from_quat(rng.normal(size=4))
 
 
-def _perturb(poses: RigidTransform, sigmas, normals) -> RigidTransform:
-    """Tangent-space noise on a pose stack: right-multiplied rotation wobble,
-    additive translation. ``sigmas`` is (rotation rad, translation mm), and
-    ``normals`` (N, k, 3) holds one row of standard normals per positive
-    sigma, rotation first (see _normals)."""
+def perturb_transform(poses: RigidTransform, sigmas, normals) -> RigidTransform:
+    """The poses of a stack with tangent-space noise added: each rotation
+    right-multiplied by a wobble, each translation shifted.
+
+    ``sigmas`` is (rotation rad, translation mm). ``normals`` (N, k, 3) holds
+    one row of standard normals per positive sigma, rotation first (see
+    _normals): the wobble is the rotation vector sigma * normal, and the
+    shift is sigma * normal in mm. A zero sigma leaves its part exact.
+
+    Raises:
+        CutcalError: the noise makes a pose non-finite.
+    """
     rot_sigma_rad, trans_sigma_mm = sigmas
     draws = normals * np.reshape([sigma for sigma in sigmas if sigma > 0], (-1, 1))
     rotations, translations = poses.rotation, poses.translation
@@ -159,7 +166,7 @@ def _perturb(poses: RigidTransform, sigmas, normals) -> RigidTransform:
 
 
 def _normals(rng: np.random.Generator, sigmas, *n: int):
-    """The standard normals _perturb takes for ``n`` poses, (*n, k, 3)."""
+    """The standard normals perturb_transform takes for ``n`` poses, (*n, k, 3)."""
     return rng.standard_normal((*n, sum(sigma > 0 for sigma in sigmas), 3))
 
 
@@ -204,8 +211,8 @@ def _observed_stations(gt: RigGroundTruth, n: int, noise: NoiseModel, rng, draw,
     robot = RigidTransform(rotations, np.asarray(WORKSPACE_CENTER_MM) + offsets)
     tracker = compose(compose(invert(gt.base_from_tracker), robot), marker)
     return (
-        _perturb(robot, robot_sigmas, robot_normals),
-        _perturb(tracker, tracker_sigmas, tracker_normals),
+        perturb_transform(robot, robot_sigmas, robot_normals),
+        perturb_transform(tracker, tracker_sigmas, tracker_normals),
     )
 
 
@@ -251,7 +258,7 @@ def generate_pivot_dataset(
     axes /= _norms(axes)[:, None]
     r = nominal @ rotation_about_axis(axes, cone_half_angle_rad * fractions)
     translations = gt.divot_in_tracker - (r @ gt.tip_in_tool[:, None])[..., 0]
-    return _perturb(RigidTransform(r, translations), sigmas, normals)
+    return perturb_transform(RigidTransform(r, translations), sigmas, normals)
 
 
 def generate_tipcal_dataset(
@@ -302,7 +309,7 @@ def synthesize_ruso_trial(
         transform_point(tracker_from_base, nominal.points - r_tool @ gt.tip_in_tool),
     )
     sigmas = (noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm)
-    measured = _perturb(tracker_from_tool, sigmas, _normals(rng, sigmas, n))
+    measured = perturb_transform(tracker_from_tool, sigmas, _normals(rng, sigmas, n))
     return _noisy(
         nominal, tip_position_in_base(gt.hand_eye_solution(), measured, gt.pivot_solution())
     )

@@ -15,8 +15,8 @@ from cutcal.errors import CutcalError, FrameError, NonMonotoneTime, ParseError
 from cutcal.geometry import FrameId, RigidTransform, quat_from_rotation, rotation_from_quat
 from cutcal import logio
 from cutcal.logio import (
+    _FIELD_BLOCK,
     _SPLIT_MIN_ROWS,
-    _WRITE_CHUNK_ROWS,
     _in_halves,
     _parse_float,
     MAX_BIN_COUNT,
@@ -166,6 +166,22 @@ class TestPoseLog:
         for _ in range(300):
             log = random_pose_log(rng, int(rng.integers(1, 6)))
             assert_pose_logs_equal(parse_pose_log(serialize_pose_log(log)), log)
+
+    # the writer lays out _FIELD_BLOCK // 8 rows of a pose log at a time
+    @pytest.mark.parametrize(
+        "n", [*(_FIELD_BLOCK // 8 + d for d in (-1, 0, 1)), 2 * (_FIELD_BLOCK // 8) + 3]
+    )
+    def test_serialize_equals_row_by_row_writer(self, rng, n):
+        special = [-0.0, 5e-324, 1e-05, 1e16, 2.0**53 + 2, 123456789.123]
+        log = random_pose_log(rng, n)
+        timestamps, translations = log.timestamps.copy(), log.translations.copy()
+        timestamps[:3] = special[:3]
+        translations.flat[: len(special)] = special
+        translations[-1] = special[-3:]
+        log = PoseLog(timestamps, log.sources, log.targets, log.quats_wxyz, translations)
+        text = serialize_pose_log(log)
+        assert text == row_by_row_pose_log(rows_of_log(log))
+        assert_pose_logs_equal(parse_pose_log(text), log)
 
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -617,10 +633,11 @@ class TestTrajectoryLog:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(parsed.tool_active, rec.tool_active)
 
+    # the writer lays out _FIELD_BLOCK // 4 rows of a trajectory log at a time
     @pytest.mark.parametrize(
         "n",
-        [2, _WRITE_CHUNK_ROWS - 1, _WRITE_CHUNK_ROWS, _WRITE_CHUNK_ROWS + 1,
-         2 * _WRITE_CHUNK_ROWS + 3],
+        [2, *(k * (_FIELD_BLOCK // 4) + d for k in (1, 2) for d in (-1, 0, 1)),
+         2 * (_FIELD_BLOCK // 4) + 3, 4 * (_FIELD_BLOCK // 4) + 3],
     )
     def test_serialize_equals_row_by_row_writer(self, rng, n):
         special = [-0.0, 5e-324, 1e-05, 1e16, 2.0**53 + 2, 123456789.123]

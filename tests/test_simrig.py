@@ -57,7 +57,7 @@ TRACKER_NOISES = pytest.mark.parametrize(
 
 # References for the stacked generators: one RigidTransform per pose, drawn
 # and composed pose by pose.
-def perturb_transform(
+def perturb_one_pose(
     t: RigidTransform, rot_sigma_rad: float, trans_sigma_mm: float, rng: np.random.Generator
 ) -> RigidTransform:
     """Tangent-space noise on one pose: right-multiplied rotation wobble,
@@ -81,10 +81,10 @@ def per_pose_handeye(gt, n, noise, seed):
         robot = RigidTransform(r, np.array([600.0, 0.0, 500.0]) + rng.uniform(-0.5, 0.5, 3) * 300.0)
         tracker = compose(compose(tracker_from_base, robot), gt.ee_from_tool)
         robots.append(
-            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
+            perturb_one_pose(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
         )
         trackers.append(
-            perturb_transform(
+            perturb_one_pose(
                 tracker, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
             )
         )
@@ -101,7 +101,7 @@ def per_pose_pivot(gt, n, cone_half_angle_rad, noise, seed):
         r = nominal @ rotation_about_axis(axis, cone_half_angle_rad * rng.uniform(0.0, 1.0))
         exact = RigidTransform(r, gt.divot_in_tracker - r @ gt.tip_in_tool)
         poses.append(
-            perturb_transform(exact, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng)
+            perturb_one_pose(exact, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng)
         )
     return (stack(poses),)
 
@@ -117,10 +117,10 @@ def per_pose_tipcal(gt, n, noise, seed):
         )
         digitizer = compose(compose(tracker_from_base, robot), ee_from_tip)
         robots.append(
-            perturb_transform(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
+            perturb_one_pose(robot, noise.robot_rot_sigma_rad, noise.robot_trans_sigma_mm, rng)
         )
         digitizers.append(
-            perturb_transform(
+            perturb_one_pose(
                 digitizer, noise.tracker_rot_sigma_rad, noise.tracker_trans_sigma_mm, rng
             )
         )
@@ -195,7 +195,7 @@ class TestDeterminism:
         plan = plan_mm()
         policy = PassPolicy(depth_increment_mm=4.0)
         rec = synthesize_ruso_trial(gt, plan, policy, noise, rate_hz=10.0, seed=4)
-        # oracle: one pose per sample through compose / perturb_transform,
+        # oracle: one pose per sample through compose / perturb_one_pose,
         # drawing from the same generator sample by sample
         nominal = sample_sequence(plan_sequence(plan, policy), 10.0)
         rng = np.random.default_rng(4)
@@ -206,7 +206,7 @@ class TestDeterminism:
         expected = []
         for p in nominal.points:
             tool_in_base = RigidTransform(r_tool, p - r_tool @ gt.tip_in_tool)
-            measured = perturb_transform(
+            measured = perturb_one_pose(
                 compose(tracker_from_base, tool_in_base),
                 noise.tracker_rot_sigma_rad,
                 noise.tracker_trans_sigma_mm,
