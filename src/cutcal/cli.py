@@ -290,11 +290,15 @@ _SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, whose negative-number pattern also takes exponent
-    notation: argparse's own reads a value such as ``-2e0`` as an option."""
+    notation and the negative infinities and NaN that ``float`` reads:
+    argparse's own reads a value such as ``-2e0`` or ``-inf`` as an option,
+    so the flag's own check never sees it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,6 @@ All generators take an explicit seed and are deterministic given it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -322,23 +321,31 @@ def _noisy(nominal: TrajectoryRecording, points: np.ndarray) -> TrajectoryRecord
     return TrajectoryRecording(nominal.timestamps, points, nominal.tool_active)
 
 
-def _ar1(timestamps: np.ndarray, sigma: float, tau: float, rng: np.random.Generator) -> np.ndarray:
-    """Stationary first-order autoregressive series sampled at the given times."""
+def _ar1(timestamps: np.ndarray, sigmas, tau: float, rng: np.random.Generator) -> np.ndarray:
+    """Stationary first-order autoregressive series sampled at the given times,
+    one per sigma, stacked: (n, *shape of ``sigmas``).
+
+    The series draw their n standard normals one after the other, also for a
+    zero sigma, whose series is exactly +0.0. The recurrence x_k = rho_k *
+    x_{k-1} + shock_k composes affine maps (a, b) -> (a * a', a * b' + b), so
+    all series are solved at once by a doubling (Hillis-Steele) prefix scan:
+    after the step of span d, sample k holds the map over samples k - 2d + 1
+    to k, and a_0 = 0 starts every series from its stationary draw.
+    """
+    sigmas = np.asarray(sigmas, dtype=np.float64)[..., None]
     n = len(timestamps)
-    if sigma == 0.0:
-        rng.normal(size=n)  # keep the draw count independent of sigma
-        return np.zeros(n)
-    w = rng.normal(size=n)
+    w = rng.normal(size=(*sigmas.shape[:-1], n))
     rho = np.exp(-np.diff(timestamps) / tau)
-    shocks = sigma * np.sqrt(1.0 - rho**2) * w[1:]
-    # x_k = rho_k * x_{k-1} + shock_k does not vectorize; Python floats run
-    # it faster than numpy scalars, with the same roundings
-    x = itertools.accumulate(
-        zip(rho.tolist(), shocks.tolist()),
-        lambda prev, step: step[0] * prev + step[1],
-        initial=float(sigma * w[0]),
-    )
-    return np.fromiter(x, dtype=np.float64, count=n)
+    a = np.concatenate(([0.0], rho))
+    x = sigmas * np.sqrt(1.0 - a**2) * w
+    span = 1
+    while span < n:
+        # compose each map with the one ``span`` samples back; x reads a before a changes
+        x[..., span:] += a[span:] * x[..., :-span]
+        a[span:] *= a[:-span]
+        span *= 2
+    x[sigmas[..., 0] == 0.0] = 0.0  # not the -0.0 that sigma * w gives where w < 0
+    return np.moveaxis(x, -1, 0)
 
 
 def synthesize_muso_trial(
@@ -367,13 +374,15 @@ def synthesize_muso_trial(
     depths = final_depth * np.arange(1, n_passes + 1) / n_passes
     nominal = sample_sequence(_build_passes(plan, depths, speeds, speeds), rate_hz)
 
-    lateral = _ar1(nominal.timestamps, jitter.lateral_sigma_mm, TREMOR_CORRELATION_TIME_S, rng)
-    roughness = _ar1(
-        nominal.timestamps, 0.25 * jitter.depth_sigma_mm, TREMOR_CORRELATION_TIME_S, rng
+    tremor = _ar1(
+        nominal.timestamps,
+        (jitter.lateral_sigma_mm, 0.25 * jitter.depth_sigma_mm),  # lateral, floor roughness
+        TREMOR_CORRELATION_TIME_S,
+        rng,
     )
     points = (
         nominal.points
-        + lateral[:, None] * plan.lateral_axis
-        + roughness[:, None] * plan.depth_axis
+        + tremor[:, :1] * plan.lateral_axis
+        + tremor[:, 1:] * plan.depth_axis
     )
     return _noisy(nominal, points)

@@ -244,6 +244,26 @@ def test_criterion_6_table_scale_reproduction():
     _announce(6, "table-scale synthetic reproduction")
 
 
+def test_paper_manual_row():
+    # the paper's manual arm: 1.10 mm RMSE and 16.0 mm depth at an 8 mm
+    # target; 20 seeds give 1.105 mm and 15.97 mm, standard errors of the
+    # mean about 0.008 mm and 0.23 mm
+    plan = standard_plan(target=8.0, speed=1.7)
+    reports = [
+        build_report(
+            synthesize_muso_trial(plan, JitterModel(depth_bias_mm=8.0), rate_hz=10.0, seed=seed),
+            plan,
+            100,
+            f"M1.{seed + 1}",
+        )
+        for seed in range(20)
+    ]
+    rmse = float(np.mean([r.rmse_mm for r in reports]))
+    depth = float(np.mean([r.mean_depth_mm for r in reports]))
+    assert abs(rmse - 1.10) <= 0.03, f"manual RMSE {rmse:.4f}"
+    assert abs(depth - 16.0) <= 0.5, f"manual depth {depth:.4f}"
+
+
 def test_criterion_7_timeline_sanity():
     plan = standard_plan(target=4.0, speed=3.0)
     # one (insert, cut, retract) row of durations per pass

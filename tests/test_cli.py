@@ -404,6 +404,12 @@ CLI_ERROR_CASES = [
                  "--tracker-trans-sigma: must be a non-negative", id="sigma-negative"),
     pytest.param("simulate muso --depth-sigma -1", 2, None, "--depth-sigma: must be a non-negative",
                  id="jitter-sigma-negative"),
+    pytest.param("simulate muso --depth-bias -inf", 2, None,
+                 "--depth-bias: must be a finite number, got '-inf'", id="depth-bias-inf"),
+    pytest.param("simulate muso --depth-bias -nan", 2, None,
+                 "--depth-bias: must be a finite number, got '-nan'", id="depth-bias-nan"),
+    pytest.param("simulate muso --depth-bias -Infinity", 2, None,
+                 "--depth-bias: must be a finite number, got '-Infinity'", id="depth-bias-Infinity"),
     pytest.param("simulate ruso --seed -1", 2, None, "--seed: must be a non-negative integer",
                  id="seed-negative"),
     pytest.param("analyze --traj t.csv --plan p.json --label bad", 2, None,

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -169,6 +170,43 @@ def dataset_fingerprint(dataset) -> bytes:
     return pose_bytes((dataset.robot, dataset.tracker))
 
 
+# the largest error of _ar1 and of per_sample_ar1 against exact_ar1, in units
+# of float64 epsilon * sigma, set once from one run of the three cases of
+# test_ar1_within_rounding_of_exact_recurrence: 153 for the scan at 200k samples
+AR1_ROUNDING_BOUND = 256
+
+
+def per_sample_ar1(timestamps, sigma, tau, rng):
+    """Reference for _ar1: the recurrence one sample at a time in float64."""
+    n = len(timestamps)
+    if sigma == 0.0:
+        rng.normal(size=n)
+        return np.zeros(n)
+    w = rng.normal(size=n)
+    x = np.empty(n)
+    x[0] = sigma * w[0]
+    rho = np.exp(-np.diff(timestamps) / tau)
+    scale = sigma * np.sqrt(1.0 - rho**2)
+    for k in range(1, n):
+        x[k] = rho[k - 1] * x[k - 1] + scale[k - 1] * w[k]
+    return x
+
+
+def exact_ar1(timestamps, sigma, tau, w):
+    """The recurrence of _ar1 on the standard normals ``w``, from the same
+    float rho and shocks, in 50-digit decimal, each sample rounded once."""
+    rho = np.exp(-np.diff(timestamps) / tau)
+    shocks = sigma * np.sqrt(1.0 - rho**2) * w[1:]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(float(sigma * w[0]))
+        out = [float(x)]
+        for r, b in zip(rho.tolist(), shocks.tolist()):
+            x = decimal.Decimal(r) * x + decimal.Decimal(b)
+            out.append(float(x))
+    return np.array(out)
+
+
 class TestDeterminism:
     def test_handeye_dataset_bitwise_reproducible(self):
         gt = RigGroundTruth.random(5)
@@ -221,32 +259,29 @@ class TestDeterminism:
         assert np.abs(rec.points - nominal.points).max() > 1e-3  # the noise is there
 
     @pytest.mark.parametrize("sigma", [0.35, 0.0])
-    @pytest.mark.parametrize("spacing", ["uniform", "non-uniform"])
-    def test_ar1_matches_per_sample_loop(self, sigma, spacing):
-        def per_sample_ar1(timestamps, sigma, tau, rng):
-            n = len(timestamps)
-            if sigma == 0.0:
-                rng.normal(size=n)
-                return np.zeros(n)
-            w = rng.normal(size=n)
-            x = np.empty(n)
-            x[0] = sigma * w[0]
-            rho = np.exp(-np.diff(timestamps) / tau)
-            scale = sigma * np.sqrt(1.0 - rho**2)
-            for k in range(1, n):
-                x[k] = rho[k - 1] * x[k - 1] + scale[k - 1] * w[k]
-            return x
-
+    @pytest.mark.parametrize("spacing", ["uniform", "non-uniform", "1kHz"])
+    def test_ar1_within_rounding_of_exact_recurrence(self, sigma, spacing):
+        # _ar1 and the per-sample loop round differently; both stay within
+        # AR1_ROUNDING_BOUND of the recurrence evaluated exactly from the same
+        # float rho and shocks
+        tau = 0.2
         steps = np.full(5000, 0.01)
         if spacing == "non-uniform":
             steps = np.random.default_rng(1).uniform(1e-4, 0.5, 5000)
+        elif spacing == "1kHz":
+            steps, tau = np.full(200_000, 1e-3), 0.8
         timestamps = np.cumsum(steps)
         rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
-        x = _ar1(timestamps, sigma, 0.2, rng)
-        expected = per_sample_ar1(timestamps, sigma, 0.2, oracle_rng)
-        assert x.dtype == np.float64 and x.shape == expected.shape
-        np.testing.assert_array_equal(x.view(np.int64), expected.view(np.int64))
+        x = _ar1(timestamps, sigma, tau, rng)
+        loop = per_sample_ar1(timestamps, sigma, tau, oracle_rng)
         assert rng.random() == oracle_rng.random()  # same number of draws
+        exact = exact_ar1(timestamps, sigma, tau, np.random.default_rng(9).normal(size=len(steps)))
+        assert x.dtype == np.float64 and x.shape == exact.shape
+        bound = AR1_ROUNDING_BOUND * 2.0**-52 * sigma
+        assert np.abs(x - exact).max() <= bound
+        assert np.abs(loop - exact).max() <= bound
+        if sigma == 0.0:
+            assert not np.signbit(x).any()  # +0.0, not -0.0
 
     def test_rig_reproducible_from_seed(self):
         a, b = RigGroundTruth.random(9), RigGroundTruth.random(9)
@@ -421,6 +456,24 @@ class TestStatisticalConsistency:
         rmses = np.asarray(rmses)
         se = rmses.std(ddof=1) / math.sqrt(len(rmses))
         assert abs(rmses.mean() - sigma) <= 3 * se
+
+    @pytest.mark.parametrize("spacing", ["uniform", "non-uniform"])
+    def test_ar1_variance_and_lag1_correlation(self, spacing):
+        # 200k samples with rho about 0.95 and 0.78: the bands are at least 3.5
+        # standard errors of the variance and 5 of each lag-1 correlation
+        n, sigma, tau = 200_000, 0.35, 0.2
+        steps = np.full(n, 0.01)
+        if spacing == "non-uniform":
+            steps = np.random.default_rng(2).choice([0.01, 0.05], n)
+        timestamps = np.cumsum(steps)
+        x = _ar1(timestamps, sigma, tau, np.random.default_rng(3))
+        assert abs(np.mean(x**2) / sigma**2 - 1.0) < 0.05
+        dt = np.diff(timestamps)
+        for step in np.unique(steps):
+            pairs = np.isclose(dt, step)
+            now, before = x[1:][pairs], x[:-1][pairs]
+            corr = np.sum(now * before) / math.sqrt(np.sum(now**2) * np.sum(before**2))
+            assert abs(corr - math.exp(-step / tau)) < 0.01, step
 
     def test_noise_monotonicity_across_levels(self):
         gt = RigGroundTruth.random(31)
