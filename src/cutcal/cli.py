@@ -53,12 +53,21 @@ def _read(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {e.strerror}") from e
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(output, path: str | None) -> None:
+    """Write a command's output to ``path``, or to stdout where it is None.
+
+    The output is text, or a log serializer: called with no file it returns
+    the text, and given a binary file it writes the text into it.
+    """
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(output if isinstance(output, str) else output())
         return
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "wb") as file:
+            if isinstance(output, str):
+                file.write(output.encode("utf-8"))
+            else:
+                output(file)
     except OSError as e:
         raise CutcalError(f"cannot write {path}: {e.strerror}") from e
 
@@ -98,7 +107,8 @@ def _pose_pairs(log: PoseLog, first, second) -> tuple[RigidTransform, RigidTrans
     return log.poses(a[i]), log.poses(b[j])
 
 
-# Each command returns the text that main writes to --output (or stdout).
+# Each command returns what main writes to --output (or stdout): text, or a
+# serializer of the log it made (see _write).
 
 
 def _cmd_calibrate_handeye(args) -> str:
@@ -182,22 +192,21 @@ def _cmd_analyze(args) -> str:
     return emit_report_table([report], format=args.format)
 
 
-def _pose_log(*streams) -> str:
-    """Pose-log text of (source, target, pose stack) streams: row i of every
-    stream in turn, stamped float(i)."""
+def _pose_log(*streams):
+    """The serializer of the pose log of (source, target, pose stack)
+    streams: row i of every stream in turn, stamped float(i)."""
     n = len(streams[0][2])
-    return serialize_pose_log(
-        PoseLog(
-            np.repeat(np.arange(n, dtype=np.float64), len(streams)),
-            np.tile([_FRAME_CODE[source] for source, _, _ in streams], n),
-            np.tile([_FRAME_CODE[target] for _, target, _ in streams], n),
-            np.stack([poses.quat_wxyz() for _, _, poses in streams], axis=1),
-            np.stack([poses.translation for _, _, poses in streams], axis=1),
-        )
+    log = PoseLog(
+        np.repeat(np.arange(n, dtype=np.float64), len(streams)),
+        np.tile([_FRAME_CODE[source] for source, _, _ in streams], n),
+        np.tile([_FRAME_CODE[target] for _, target, _ in streams], n),
+        np.stack([poses.quat_wxyz() for _, _, poses in streams], axis=1),
+        np.stack([poses.translation for _, _, poses in streams], axis=1),
     )
+    return functools.partial(serialize_pose_log, log)
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args):
     rig = RigGroundTruth.random(args.seed)
     noise = NoiseModel(
         tracker_rot_sigma_rad=math.radians(args.tracker_rot_sigma_deg),
@@ -227,7 +236,7 @@ def _cmd_simulate(args) -> str:
             recording = synthesize_muso_trial(
                 plan_file.plan, jitter=jitter, rate_hz=args.rate, seed=args.seed
             )
-        text = serialize_trajectory_log(recording)
+        output = functools.partial(serialize_trajectory_log, recording)
     elif args.kind == "pivot":
         poses = generate_pivot_dataset(
             rig,
@@ -236,13 +245,13 @@ def _cmd_simulate(args) -> str:
             noise=noise,
             seed=args.seed,
         )
-        text = _pose_log((FrameId.OT, FrameId.TOOL, poses))
+        output = _pose_log((FrameId.OT, FrameId.TOOL, poses))
     elif args.kind == "handeye":
         he = generate_handeye_dataset(rig, args.poses, noise=noise, seed=args.seed)
-        text = _pose_log((FrameId.S, FrameId.EE, he.robot), (FrameId.OT, FrameId.TOOL, he.tracker))
+        output = _pose_log((FrameId.S, FrameId.EE, he.robot), (FrameId.OT, FrameId.TOOL, he.tracker))
     else:
         tip = generate_tipcal_dataset(rig, args.poses, noise=noise, seed=args.seed)
-        text = _pose_log(
+        output = _pose_log(
             (FrameId.S, FrameId.EE, tip.robot), (FrameId.OT, FrameId.DIGITIZER, tip.digitizer)
         )
     if args.ground_truth_output:
@@ -258,7 +267,7 @@ def _cmd_simulate(args) -> str:
             ),
             args.ground_truth_output,
         )
-    return text
+    return output
 
 
 def _cmd_report(args) -> str:

@@ -15,10 +15,17 @@ by field, left to right. A bad log raises a ParseError at the 1-based line of
 its first error in file order. One bulk np.loadtxt reads a log whose rows pass
 a vectorized test; a line scan reads any other log to the same rows, or raises.
 
-A log of at least _SPLIT_MIN_ROWS rows is written and parsed in two processes
-where ``os.fork`` exists and a second CPU is usable: a forked child converts
-the second half of the rows. The text and the arrays are those of the
-one-process path, and errors are still found and reported by this process.
+A log of at least _SPLIT_MIN_ROWS rows is parsed, and written into a file, in
+two processes where ``os.fork`` exists and a second CPU is usable. The parser
+splits the bytes after the header at a line start near their middle: each
+process decodes, splits and parses its own range, and a forked child pickles
+its rows back. The writer writes the first half of the rows into the file
+while a forked child formats the second half, which it then pwrites at the
+offset this process sends. A file that cannot be written at an offset, such
+as a pipe, is written by one process, and so is text returned as a str. The
+text and the arrays are those of the one-process path. Errors are still found
+and reported by this process: where the bulk parse fails, it decodes the whole
+log and scans its lines.
 """
 
 from __future__ import annotations
@@ -49,13 +56,13 @@ QUAT_NORM_WINDOW = (0.999, 1.001)
 # largest plan analysis.K: the depth profile holds K floats, so memory bounds it
 MAX_BIN_COUNT = 1_000_000
 
-# logs of at least this many data rows are written and parsed in two processes
-# (_in_halves). On a 2 vCPU Xeon (Python 3.11, numpy 2.4), a fork and pipe
-# round trip took 2-3.5 ms (more in a larger process). Split time over
-# one-process time, medians of 15 alternating runs at 20k, 30k, 40k and 60k
-# trajectory rows: parse 0.70-0.90 and write 0.69-0.86 in fresh processes and
-# in ones that had written logs of 5k-200k rows, except the write at 20k in
-# the latter (0.94-0.96). The write split lost at 10k rows (1.10).
+# logs of at least this many data rows are parsed, and written into a file, in
+# two processes (_in_halves, _write_halves). On a 2 vCPU Xeon (Python 3.11,
+# numpy 2.4), split time over one-process time, each the median of 15
+# alternating runs in one fresh process, over 10 processes: at 20k trajectory
+# rows parse 0.70-0.82 and write 0.77-0.97, at 40k 0.64-0.90 and 0.69-0.88.
+# In 5 earlier processes on the same shared host, the split lost at 20k
+# (parse 1.21-1.32, write 1.36-1.48).
 _SPLIT_MIN_ROWS = 20_000
 
 # a pose log stores each frame as its index in this tuple
@@ -158,32 +165,50 @@ def _frame_code(label: str) -> float:
 def _read_csv(data: str | bytes, header: str, valid, scan, converters=None) -> np.ndarray:
     """The data rows of a CSV log as one (N, columns) float array.
 
-    One bulk ``np.loadtxt`` parses the lines after the header, in halves
-    (_in_halves), and ``valid`` tests the whole array. Where a half fails to
-    parse or the test is false, ``scan`` reads the lines instead: it returns
-    the same rows or raises the first error in file order.
+    The bulk parse (_bulk_rows) reads the rows, and ``valid`` tests the whole
+    array. Where the bulk parse gives no rows or the test is false, the whole
+    log is decoded and ``scan`` reads its lines instead: it returns the same
+    rows or raises the first error in file order.
     """
+    rows = _bulk_rows(data, header, converters)
+    if rows is not None and valid(rows):
+        return rows
     lines = _decode(data).split("\n")
     if lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}", 1)
+    return scan(lines)
+
+
+def _bulk_rows(data: str | bytes, header: str, converters) -> np.ndarray | None:
+    """The rows of one bulk ``np.loadtxt`` parse of the lines after the header,
+    each half of them decoded, split and parsed in its own process
+    (_in_halves); None where the first line is not ``header`` (whitespace
+    aside), a half is not valid UTF-8, or loadtxt rejects a line."""
+    is_str = isinstance(data, str)
+    start = data.find("\n" if is_str else b"\n") + 1 or len(data)
+    if data[:start].strip() != (header if is_str else header.encode("ascii")):
+        return None
     width = header.count(",") + 1
 
     def load(lo: int, hi: int) -> np.ndarray | None:
-        part = lines[1 + lo : 1 + hi]
-        if not any(map(str.strip, part)):
-            return np.empty((0, width))  # loadtxt would warn that there is no data
         try:
-            rows = np.loadtxt(part, delimiter=",", ndmin=2, comments=None, converters=converters)
+            part = data[lo:hi] if is_str else str(memoryview(data)[lo:hi], "utf-8")
+        except UnicodeDecodeError:
+            return None
+        if not part or part.isspace():
+            return np.empty((0, width))  # loadtxt would warn that there is no data
+        lines = part.split("\n")
+        del part  # the lines hold their own copy
+        if not lines[-1]:
+            lines.pop()  # the LF that ends the last line starts no row
+        try:
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, converters=converters)
         except ValueError:
             return None
         return rows if rows.shape[1] == width else None
 
-    # the LF that ends the last line starts no row
-    halves = _in_halves(load, len(lines) - 1 - (not lines[-1]))
-    if any(rows is None for rows in halves):
-        return scan(lines)
-    rows = np.concatenate(halves)
-    return rows if valid(rows) else scan(lines)
+    halves = _in_halves(load, data, start)
+    return None if any(rows is None for rows in halves) else np.concatenate(halves)
 
 
 def _usable_cpus() -> int:
@@ -193,42 +218,70 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_halves(fn, n: int) -> tuple:
-    """``(fn(0, h), fn(h, n))`` with ``h = n // 2``, or ``(fn(0, n),)``.
+def _splits(rows: int) -> bool:
+    """Whether a log of ``rows`` rows is converted in two processes: it holds
+    at least _SPLIT_MIN_ROWS, ``os.fork`` exists and a second CPU is usable."""
+    return rows >= _SPLIT_MIN_ROWS and hasattr(os, "fork") and _usable_cpus() >= 2
 
-    A log of at least _SPLIT_MIN_ROWS rows is split when ``os.fork`` exists
-    and a second CPU is usable: a forked child computes ``fn(h, n)`` and
-    pickles it into a pipe while this process computes ``fn(0, h)``. Where
-    the child fails, this process computes its half too, so the results and
-    exceptions are those of the inline path. ``fn`` must call no BLAS, since
-    a child forked beside BLAS threads may find their locks held.
-    """
-    if n < _SPLIT_MIN_ROWS or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return (fn(0, n),)
-    h = n // 2
-    read_end, write_end = os.pipe()
+
+def _fork(child) -> int | None:
+    """The pid of a forked child that runs ``child()`` and exits, 0 where it
+    returned and 1 where it raised; None where no process could be forked.
+    ``child`` must call no BLAS, since a child forked beside BLAS threads may
+    find their locks held."""
     try:
         pid = os.fork()
     except OSError:  # out of processes or memory
-        os.close(read_end)
-        os.close(write_end)
-        return (fn(0, n),)
+        return None
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(fn(h, n), pipe, pickle.HIGHEST_PROTOCOL)
+            child()
             status = 0
         finally:
             os._exit(status)
+    return pid
+
+
+def _in_halves(fn, data: str | bytes, start: int) -> tuple:
+    """``fn(lo, hi)`` of the lines of ``data`` from ``start`` to its end:
+    ``(fn(start, mid), fn(mid, end))``, mid the first line start at or after
+    the middle, or ``(fn(start, end),)``.
+
+    The lines are split where they hold at least _SPLIT_MIN_ROWS line ends
+    (_splits): a forked child computes ``fn(mid, end)`` and pickles it into a
+    pipe while this process computes ``fn(start, mid)``. Where the child
+    fails, this process computes its half too, so the results and exceptions
+    are those of the inline path.
+    """
+    lf = "\n" if isinstance(data, str) else b"\n"
+    end, rows = len(data), 0
+    for stop in range(start, end, 1 << 20):  # a MiB at a time: a long log is not counted through
+        rows += data.count(lf, stop, stop + (1 << 20))
+        if rows >= _SPLIT_MIN_ROWS:
+            break
+    if not _splits(rows):
+        return (fn(start, end),)
+    mid = data.find(lf, (start + end) // 2) + 1 or end
+    read_end, write_end = os.pipe()
+
+    def child():
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(fn(mid, end), pipe, pickle.HIGHEST_PROTOCOL)
+
+    pid = _fork(child)
+    if pid is None:
+        os.close(read_end)
+        os.close(write_end)
+        return (fn(start, end),)
     os.close(write_end)
     second = ()
     try:
         # closing the read end, also when fn raises, lets a child blocked on a
         # full pipe fail its write and exit before the wait
         with open(read_end, "rb") as pipe:
-            first = fn(0, h)
+            first = fn(start, mid)
             try:
                 second = (pickle.load(pipe),)
             except (EOFError, pickle.UnpicklingError):  # the child sent no whole result
@@ -236,8 +289,94 @@ def _in_halves(fn, n: int) -> tuple:
     finally:
         _, status = os.waitpid(pid, 0)
     if status != 0 or not second:
-        second = (fn(h, n),)
+        second = (fn(mid, end),)
     return first, second[0]
+
+
+def _write_halves(file, blocks, n: int) -> None:
+    """Write ``blocks(0, n)``, the byte blocks of rows 0 to n, into a binary
+    file at its position.
+
+    Where the log splits (_splits) and the file is one that pwrite can write
+    at an offset (_pwritable), a forked child formats rows n // 2 to n while
+    this process writes the first half. This process then sends the child
+    the offset of its half, and the child pwrites the half there and sends
+    back the offset of its end. Where the child fails, this process writes
+    that half itself, over any part the child wrote.
+    """
+    h = n // 2
+    fd = _pwritable(file) if _splits(n) else None
+    if fd is None:
+        file.writelines(blocks(0, n))
+        return
+    offsets_r, offsets_w = os.pipe()
+    ends_r, ends_w = os.pipe()
+
+    def child():
+        os.close(offsets_w)
+        os.close(ends_r)
+        parts = list(blocks(h, n))
+        offset = os.read(offsets_r, 8)
+        if len(offset) != 8:
+            raise EOFError("no offset: the parent failed")
+        offset = int.from_bytes(offset, "little")
+        for part in parts:
+            offset = _pwrite(fd, part, offset)
+        os.write(ends_w, offset.to_bytes(8, "little"))
+
+    pid = _fork(child)
+    if pid is None:
+        for pipe_end in (offsets_r, offsets_w, ends_r, ends_w):
+            os.close(pipe_end)
+        file.writelines(blocks(0, n))
+        return
+    os.close(offsets_r)
+    os.close(ends_w)
+    try:
+        # closing the offset pipe, also when this process fails, ends a child
+        # that waits for its offset
+        try:
+            file.writelines(blocks(0, h))
+            offset = file.tell()
+            try:
+                os.write(offsets_w, offset.to_bytes(8, "little"))
+            except BrokenPipeError:  # the child has exited
+                pass
+        finally:
+            os.close(offsets_w)
+        end = os.read(ends_r, 8)
+    finally:
+        os.close(ends_r)
+        _, status = os.waitpid(pid, 0)
+    if status == 0 and len(end) == 8:
+        file.seek(int.from_bytes(end, "little"))
+    else:
+        file.seek(offset)
+        file.writelines(blocks(h, n))
+
+
+def _pwritable(file) -> int | None:
+    """The descriptor of a file that pwrite can write at an offset: a
+    seekable one not opened to append (pwrite appends there). None for any
+    other file, such as a pipe or one with no descriptor."""
+    import fcntl  # wherever os.fork exists
+
+    try:
+        fd = file.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
+    if not file.seekable() or fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
+        return None
+    return fd
+
+
+def _pwrite(fd: int, data, offset: int) -> int:
+    """Write all of ``data`` at ``offset``; the offset after it."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+    return offset
 
 
 def _data_fields(lines: list[str], width: int):
@@ -305,8 +444,9 @@ def parse_pose_log(data: str | bytes) -> PoseLog:
     return PoseLog(rows[:, 0], rows[:, 1], rows[:, 2], quats, rows[:, 7:])
 
 
-def serialize_pose_log(log: PoseLog) -> str:
-    """Pose-log text of a PoseLog."""
+def serialize_pose_log(log: PoseLog, file=None) -> str | None:
+    """Pose-log text of a PoseLog: returned, or written into ``file``, a
+    binary file, at its position (see _write_csv)."""
     columns = (
         log.timestamps,
         _FRAME_FIELDS[log.sources],
@@ -314,7 +454,7 @@ def serialize_pose_log(log: PoseLog) -> str:
         *log.quats_wxyz.T,
         *log.translations.T,
     )
-    return _write_csv(POSE_LOG_HEADER, columns)
+    return _write_csv(POSE_LOG_HEADER, columns, file)
 
 
 def _trajectory_rows_valid(rows: np.ndarray) -> bool:
@@ -357,41 +497,48 @@ def parse_trajectory_log(data: str | bytes) -> TrajectoryRecording:
     return TrajectoryRecording(rows[:, 0], rows[:, 1:4], rows[:, 4].astype(bool))
 
 
-def serialize_trajectory_log(rec: TrajectoryRecording) -> str:
+def serialize_trajectory_log(rec: TrajectoryRecording, file=None) -> str | None:
+    """Trajectory-log text of a recording: returned, or written into
+    ``file``, a binary file, at its position (see _write_csv)."""
     flags = _FLAG_FIELDS[rec.tool_active.view(np.uint8)]
-    return _write_csv(TRAJECTORY_LOG_HEADER, (rec.timestamps, *rec.points.T, flags))
+    return _write_csv(TRAJECTORY_LOG_HEADER, (rec.timestamps, *rec.points.T, flags), file)
 
 
-def _write_csv(header: str, columns) -> str:
-    """CSV text of equal-length columns, a block of rows at a time.
+def _write_csv(header: str, columns, file=None) -> str | None:
+    """CSV text of equal-length columns, made a block of rows at a time.
 
     A column is float64 values or an (N, width) uint8 array of field bytes
     that end in the field's comma, NUL-padded. A block holds _FIELD_BLOCK
     floats: one _field_words call lays out every float column of its rows.
     A row's fields side by side make one fixed-width byte row, whose last
-    byte becomes the LF and whose NUL bytes one translate deletes. A long
-    log's halves are written side by side (_in_halves).
+    byte becomes the LF and whose NUL bytes one translate deletes.
+
+    With no ``file`` the text is returned, made in this process. Otherwise
+    the bytes are written into the binary file ``file`` as they are made, a
+    long log's halves side by side (_write_halves).
     """
     floats = [col for col in columns if col.ndim == 1]
     width = sum(_FIELD_BYTES if col.ndim == 1 else col.shape[1] for col in columns)
     step = _FIELD_BLOCK // len(floats)
 
-    def write(lo: int, hi: int) -> list[str]:
-        parts = []
+    def blocks(lo: int, hi: int):
         for start in range(lo, hi, step):
             rows = slice(start, min(start + step, hi))
             words = _field_words(np.stack([col[rows] for col in floats]).view(np.uint64).ravel())
             fields = iter(words.view(np.uint8).reshape(len(floats), -1, _FIELD_BYTES))
             buffer = bytearray((rows.stop - rows.start) * width)
             line = np.frombuffer(buffer, np.uint8).reshape(-1, width)
-            blocks = [next(fields) if col.ndim == 1 else col[rows] for col in columns]
-            np.concatenate(blocks, axis=1, out=line)
+            pieces = [next(fields) if col.ndim == 1 else col[rows] for col in columns]
+            np.concatenate(pieces, axis=1, out=line)
             line[:, -1] = ord("\n")
-            parts.append(buffer.translate(None, b"\0").decode("ascii"))
-        return parts
+            yield buffer.translate(None, b"\0")
 
-    halves = _in_halves(write, len(columns[0]))
-    return "".join([header, "\n", *itertools.chain.from_iterable(halves)])
+    n = len(columns[0])
+    if file is None:
+        return "".join([header, "\n", *(block.decode("ascii") for block in blocks(0, n))])
+    file.write(f"{header}\n".encode("ascii"))
+    _write_halves(file, blocks, n)
+    return None
 
 
 # The float writer. Each float64 becomes the text repr gives it: the

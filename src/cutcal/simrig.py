@@ -15,7 +15,7 @@ All generators take an explicit seed and are deterministic given it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,6 +84,20 @@ class RigGroundTruth:
         return PivotSolution(self.tip_in_tool, self.divot_in_tracker, 0.0)
 
 
+def _check_floats(model) -> None:
+    """Require every float field of a model to be finite, and each sigma (a
+    field whose name holds ``sigma``) to be non-negative; a ValueError names
+    the first field that is not."""
+    for field in fields(model):
+        if field.type != "float":
+            continue
+        value = getattr(model, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if "sigma" in field.name and value < 0:
+            raise ValueError(f"{field.name} must be non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-measurement sensor noise, applied in the tangent space of each
@@ -95,13 +109,7 @@ class NoiseModel:
     robot_trans_sigma_mm: float = 0.0
 
     def __post_init__(self):
-        if min(
-            self.tracker_rot_sigma_rad,
-            self.tracker_trans_sigma_mm,
-            self.robot_rot_sigma_rad,
-            self.robot_trans_sigma_mm,
-        ) < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        _check_floats(self)
 
 
 @dataclass(frozen=True)
@@ -122,8 +130,7 @@ class JitterModel:
     speed_sigma_mm_s: float = 0.15
 
     def __post_init__(self):
-        if min(self.lateral_sigma_mm, self.depth_sigma_mm, self.speed_sigma_mm_s) < 0:
-            raise ValueError("jitter sigmas must be non-negative")
+        _check_floats(self)
         lo, hi = self.pass_count_range
         if not (1 <= lo <= hi):
             raise ValueError("pass_count_range must satisfy 1 <= lo <= hi")

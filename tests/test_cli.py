@@ -8,7 +8,13 @@ import pytest
 
 from cutcal.cli import main
 from cutcal.geometry import RigidTransform, rotation_angle_between
-from cutcal.logio import parse_pose_log, parse_trajectory_log, serialize_plan, PlanFile
+from cutcal.logio import (
+    _SPLIT_MIN_ROWS,
+    PlanFile,
+    parse_pose_log,
+    parse_trajectory_log,
+    serialize_plan,
+)
 from cutcal.metrics import PlannedCut
 from cutcal.planner import PassPolicy
 
@@ -45,6 +51,22 @@ class TestSimulate:
                      "--output", str(out)]) == 0
         rec = parse_trajectory_log(out.read_bytes())
         assert len(rec) > 100
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["muso", "--rate", "1000"], ["pivot", "--poses", str(_SPLIT_MIN_ROWS + 1)]],
+        ids=["muso", "pivot"],
+    )
+    def test_stdout_gets_the_text_written_to_output(self, tmp_path, plan_path, capsys, argv):
+        # the file is long enough to be written in two processes, stdout is
+        # written in one
+        out = tmp_path / "log.csv"
+        argv = ["simulate", *argv, "--plan", str(plan_path), "--seed", "1"]
+        assert main([*argv, "--output", str(out)]) == 0
+        assert main(argv) == 0
+        text, err = capsys.readouterr()
+        assert err == "" and text == out.read_text(encoding="utf-8")
+        assert text.count("\n") > _SPLIT_MIN_ROWS
 
     @pytest.mark.parametrize("value", ["-2e0", "-1E3", "-2.0"])
     def test_negative_flag_value_is_a_number_in_any_notation(self, tmp_path, plan_path, value):

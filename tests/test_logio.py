@@ -1,7 +1,9 @@
+import contextlib
 import json
 import math
 import os
 import signal
+import threading
 import time
 from dataclasses import fields
 
@@ -845,9 +847,48 @@ class TestBothReadPaths:
         self.assert_pose_paths_agree(serialize_pose_log(pose_log_of_translations(values)))
 
 
+def raw_midpoint(data) -> int:
+    """The middle of a log's lines after the header, before the reader moves
+    it to the next line start."""
+    start = data.index("\n" if isinstance(data, str) else b"\n") + 1
+    return (start + len(data)) // 2
+
+
+def split_log(kind: str, rng, n: int):
+    """(serializer, log) of a random trajectory or pose log of n rows."""
+    if kind == "trajectory":
+        return serialize_trajectory_log, random_recording(rng, n)
+    quats = rng.normal(size=(n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    frames = rng.integers(len(FrameId), size=(2, n))
+    log = PoseLog(np.arange(n, dtype=np.float64), *frames, quats, rng.uniform(-100, 100, (n, 3)))
+    return serialize_pose_log, log
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError where the body takes longer than ``seconds``."""
+    def hung(*_):
+        signal.alarm(1)  # and again, should a later wait hang too
+        raise TimeoutError("hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SPLIT_SIZES = pytest.mark.parametrize("n", [_SPLIT_MIN_ROWS - 1, _SPLIT_MIN_ROWS, _SPLIT_MIN_ROWS + 1])
+BOTH_LOGS = pytest.mark.parametrize("kind", ["trajectory", "pose"])
+
+
 class TestSplitConversion:
-    """Logs of at least _SPLIT_MIN_ROWS rows are written and parsed half in a
-    forked child; the results must be those of the one-process path."""
+    """Logs of at least _SPLIT_MIN_ROWS rows are parsed, and written into a
+    file, half in a forked child; the results must be those of the
+    one-process path."""
 
     @pytest.fixture(autouse=True)
     def forks(self, monkeypatch):
@@ -879,35 +920,41 @@ class TestSplitConversion:
             got, want = getattr(a, name), getattr(b, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("n", [_SPLIT_MIN_ROWS - 1, _SPLIT_MIN_ROWS, _SPLIT_MIN_ROWS + 1])
+    @SPLIT_SIZES
     def test_trajectory_text_and_rows_equal_the_inline_path(self, rng, monkeypatch, forks, n):
         rec = random_recording(rng, n)
-        text = self.inline(monkeypatch, serialize_trajectory_log, rec)
-        assert not forks
-        assert serialize_trajectory_log(rec) == text == row_by_row_trajectory_log(rec)
-        parsed = parse_trajectory_log(text)
+        text = serialize_trajectory_log(rec)
+        assert not forks  # text is made in this process
+        assert text == row_by_row_trajectory_log(rec)
+        for data in (text, text.encode()):
+            parsed = parse_trajectory_log(data)
+            self.assert_recordings_equal(parsed, self.inline(monkeypatch, parse_trajectory_log, data))
+            self.assert_recordings_equal(parsed, rec)
         assert len(forks) == (2 if n >= _SPLIT_MIN_ROWS else 0)
-        self.assert_recordings_equal(parsed, self.inline(monkeypatch, parse_trajectory_log, text))
-        self.assert_recordings_equal(parsed, rec)
 
     def test_pose_log_text_and_rows_equal_the_inline_path(self, rng, monkeypatch, forks):
         log = random_pose_log(rng, _SPLIT_MIN_ROWS + 1)
-        text = self.inline(monkeypatch, serialize_pose_log, log)
-        assert serialize_pose_log(log) == text
-        parsed = parse_pose_log(text)
+        text = serialize_pose_log(log)
+        assert not forks
+        assert text == row_by_row_pose_log(rows_of_log(log))
+        for data in (text, text.encode()):
+            parsed = parse_pose_log(data)
+            assert_pose_logs_equal(parsed, self.inline(monkeypatch, parse_pose_log, data))
         assert len(forks) == 2
-        assert_pose_logs_equal(parsed, self.inline(monkeypatch, parse_pose_log, text))
 
-    def test_one_usable_cpu_forks_nothing(self, rng, monkeypatch, forks):
+    def test_one_usable_cpu_forks_nothing(self, rng, monkeypatch, forks, tmp_path):
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no CPU affinity on this platform")
         monkeypatch.undo()  # the real CPU count, and os.fork uncounted
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
         rec = random_recording(rng, _SPLIT_MIN_ROWS)
+        path = tmp_path / "log.csv"
         cpus = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(cpus)})
         try:
-            parsed = parse_trajectory_log(serialize_trajectory_log(rec))
+            with open(path, "wb") as file:
+                serialize_trajectory_log(rec, file)
+            parsed = parse_trajectory_log(path.read_bytes())
         finally:
             os.sched_setaffinity(0, cpus)
         self.assert_recordings_equal(parsed, rec)
@@ -929,6 +976,155 @@ class TestSplitConversion:
             self.assert_recordings_equal(parsed, rec)
         assert forks
 
+    @SPLIT_SIZES
+    @BOTH_LOGS
+    def test_a_file_gets_the_bytes_of_the_text_at_its_position(self, rng, forks, tmp_path, kind, n):
+        serialize, log = split_log(kind, rng, n)
+        text = serialize(log).encode()
+        path = tmp_path / "log.csv"
+        with open(path, "wb") as file:
+            file.write(b"before\n")
+            assert serialize(log, file) is None
+            assert file.tell() == 7 + len(text)
+            file.write(b"after\n")
+        assert path.read_bytes() == b"before\n" + text + b"after\n"
+        assert len(forks) == (1 if n >= _SPLIT_MIN_ROWS else 0)
+
+    @SPLIT_SIZES
+    @BOTH_LOGS
+    def test_a_pipe_gets_the_bytes_of_the_text_from_one_process(self, rng, forks, kind, n):
+        serialize, log = split_log(kind, rng, n)
+        read_end, write_end = os.pipe()
+        received = []
+
+        def drain():
+            with open(read_end, "rb") as pipe:
+                received.append(pipe.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            with open(write_end, "wb") as pipe:
+                serialize(log, pipe)
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [serialize(log).encode()]
+        assert not forks
+
+    @BOTH_LOGS
+    def test_a_file_opened_to_append_is_written_in_one_process(self, rng, forks, tmp_path, kind):
+        serialize, log = split_log(kind, rng, _SPLIT_MIN_ROWS)
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"before\n")
+        with open(path, "ab") as file:
+            serialize(log, file)
+        assert path.read_bytes() == b"before\n" + serialize(log).encode()
+        assert not forks
+
+    @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
+    @BOTH_LOGS
+    def test_a_half_the_child_fails_to_write_is_written_by_this_process(
+        self, rng, monkeypatch, forks, tmp_path, kind, how
+    ):
+        serialize, log = split_log(kind, rng, _SPLIT_MIN_ROWS + 1)
+        parent, pwrite, written = os.getpid(), logio._pwrite, []
+
+        def failing_pwrite(fd, data, offset):
+            # the child writes its first block, then wrong bytes over half the next
+            if os.getpid() != parent and written:
+                pwrite(fd, b"#" * (len(data) // 2), offset)
+                if how == "raise":
+                    raise OSError("child only")
+                if how == "exit":
+                    os._exit(7)
+                os.kill(os.getpid(), signal.SIGKILL)
+            written.append(offset)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(logio, "_pwrite", failing_pwrite)
+        path = tmp_path / "log.csv"
+        with open(path, "wb") as file:
+            serialize(log, file)
+            end = file.tell()
+        assert path.read_bytes() == serialize(log).encode()
+        assert end == path.stat().st_size
+        assert len(forks) == 1 and not written  # this process writes through the file
+
+    def test_an_error_in_this_processs_half_ends_the_writing_child(
+        self, rng, monkeypatch, forks, tmp_path
+    ):
+        rec = random_recording(rng, _SPLIT_MIN_ROWS)
+        parent, field_words = os.getpid(), logio._field_words
+
+        def failing_field_words(bits):
+            if os.getpid() == parent:
+                raise KeyError("parent half")
+            return field_words(bits)
+
+        monkeypatch.setattr(logio, "_field_words", failing_field_words)
+        with time_limit(20), open(tmp_path / "log.csv", "wb") as file:
+            with pytest.raises(KeyError, match="parent half"):
+                serialize_trajectory_log(rec, file)
+        assert forks
+
+    @pytest.mark.parametrize("where", ["header", "crlf", "last line", "whitespace line"])
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+    def test_where_the_middle_of_the_log_falls(self, rng, monkeypatch, forks, where, encode):
+        rec = random_recording(rng, _SPLIT_MIN_ROWS + 1)
+        text = serialize_trajectory_log(rec)
+        if where == "header":  # the middle of the whole file
+            text = text.replace("\n", " " * len(text) + "\n", 1)
+            assert len(text) // 2 < text.index("\n")
+        elif where == "crlf":
+            text = text.replace("\n", "\r\n")
+            for pad in range(400):  # spaces after the last row's flag move the middle
+                padded = text[:-2] + " " * pad + "\r\n"
+                if padded[raw_midpoint(padded)] == "\n":
+                    text = padded
+                    break
+            assert text[raw_midpoint(text) - 1 : raw_midpoint(text) + 1] == "\r\n"
+        elif where == "last line":  # with no LF
+            text = text[:-1] + " " * len(text)
+            assert text.find("\n", raw_midpoint(text)) == -1
+        else:
+            mid = text.index("\n", raw_midpoint(text)) + 1
+            text = text[:mid] + " " * 1000 + "\n" + text[mid:]
+            assert text[raw_midpoint(text)] == " "
+        data = text.encode() if encode else text
+        scans, scan = [], logio._scan_trajectory_lines
+        monkeypatch.setattr(logio, "_scan_trajectory_lines", lambda lines: scans.append(1) or scan(lines))
+        parsed = parse_trajectory_log(data)
+        assert len(forks) == 1
+        # each half holds whole lines, so only the whitespace-only line sends
+        # the log to the line scan
+        assert len(scans) == (where == "whitespace line")
+        self.assert_recordings_equal(parsed, self.inline(monkeypatch, parse_trajectory_log, data))
+        self.assert_recordings_equal(parsed, rec)
+
+    def test_invalid_utf8_in_the_childs_half_is_reported_for_the_whole_file(
+        self, rng, monkeypatch, forks
+    ):
+        data = serialize_trajectory_log(random_recording(rng, _SPLIT_MIN_ROWS + 1)).encode()
+        at = data.index(b"\n", raw_midpoint(data) + 1000) + 1
+        data = data[:at] + b"\xff" + data[at:]
+        with pytest.raises(ParseError, match="not valid UTF-8") as split:
+            parse_trajectory_log(data)
+        assert forks
+        with pytest.raises(ParseError) as inline:
+            self.inline(monkeypatch, parse_trajectory_log, data)
+        assert str(split.value) == str(inline.value)
+        assert f"in position {at}:" in str(split.value)
+
+    @pytest.mark.parametrize("n", [3, _SPLIT_MIN_ROWS + 1])
+    def test_invalid_utf8_is_reported_before_a_bad_header(self, rng, n):
+        text = serialize_trajectory_log(random_recording(rng, n))
+        data = text.replace("active", "activ", 1).encode() + b"\xff\n"
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            parse_trajectory_log(data)
+        with pytest.raises(ParseError, match="expected header"):
+            parse_trajectory_log(data[:-2])
+
     @pytest.mark.parametrize(
         "row, edit, error, fragment",
         [
@@ -945,9 +1141,10 @@ class TestSplitConversion:
     ):
         n = _SPLIT_MIN_ROWS + 1
         rec = random_recording(rng, n)
-        lines = serialize_trajectory_log(rec).split("\n")[:-1]
-        h = n // 2
-        k = 1 + h + row if row >= 0 else len(lines) + row
+        text = serialize_trajectory_log(rec)
+        lines = text.split("\n")[:-1]
+        k = text.count("\n", 0, text.index("\n", raw_midpoint(text)) + 1) + row
+        k = k if row >= 0 else len(lines) + row
         lines[k] = ",".join(edit(lines[k].split(","), lines[k - 1].split(",")))
         lines[3] = lines[3] + "\r"  # an error-free CRLF line in the parent's half
         text = "\n".join(lines) + "\n"
@@ -963,14 +1160,17 @@ class TestSplitConversion:
         self, rng, forks, loadtxt_calls
     ):
         text = serialize_trajectory_log(random_recording(rng, _SPLIT_MIN_ROWS)) + "x,0,0,0,1\n"
-        forks.clear()  # the writer's
         with pytest.raises(ParseError, match="bad timestamp") as exc:
             parse_trajectory_log(text)
         assert exc.value.line == _SPLIT_MIN_ROWS + 2
-        assert len(forks) == 1 and loadtxt_calls == [(_SPLIT_MIN_ROWS + 1) // 2]
+        # one loadtxt call here, on the lines of this process's half only
+        start, mid = text.index("\n") + 1, text.index("\n", raw_midpoint(text)) + 1
+        assert len(forks) == 1 and loadtxt_calls == [text.count("\n", start, mid)]
+        assert loadtxt_calls[0] < _SPLIT_MIN_ROWS
 
     def test_a_half_that_fails_in_the_child_is_computed_again(self, forks):
         parent = os.getpid()
+        lines = "\n" * (_SPLIT_MIN_ROWS + 1)
 
         def fail_in_child(how):
             def fn(lo, hi):
@@ -983,25 +1183,24 @@ class TestSplitConversion:
                 return list(range(lo, hi))
             return fn
 
-        n = _SPLIT_MIN_ROWS + 1
         for how in ("raise", "exit", "kill"):
-            first, second = _in_halves(fail_in_child(how), n)
-            assert first + second == list(range(n)), how
+            first, second = _in_halves(fail_in_child(how), lines, 0)
+            assert first + second == list(range(len(lines))), how
         assert len(forks) == 3
 
     def test_an_error_in_the_childs_half_is_raised_as_inline(self, monkeypatch, forks):
-        n = _SPLIT_MIN_ROWS + 1
+        lines = "\n" * (_SPLIT_MIN_ROWS + 1)
 
         def fn(lo, hi):
-            if hi == n:
+            if hi == len(lines):
                 raise ValueError("bad last row")
             return lo
 
         with pytest.raises(ValueError, match="bad last row"):
-            self.inline(monkeypatch, _in_halves, fn, n)
+            self.inline(monkeypatch, _in_halves, fn, lines, 0)
         assert not forks
         with pytest.raises(ValueError, match="bad last row"):
-            _in_halves(fn, n)
+            _in_halves(fn, lines, 0)
         assert forks
 
     def test_an_error_in_the_parents_half_propagates_past_a_full_pipe(self, forks):
@@ -1012,18 +1211,8 @@ class TestSplitConversion:
                 raise KeyError("parent half")
             return "x" * (1 << 20)
 
-        def hung(*_):
-            signal.alarm(1)  # and again, should a later wait hang too
-            raise TimeoutError("_in_halves hung")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(20)
-        try:
-            with pytest.raises(KeyError, match="parent half"):
-                _in_halves(fn, _SPLIT_MIN_ROWS)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with time_limit(20), pytest.raises(KeyError, match="parent half"):
+            _in_halves(fn, "\n" * _SPLIT_MIN_ROWS, 0)
         assert forks
 
 

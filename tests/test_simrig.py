@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -504,6 +505,27 @@ class TestGeneratorValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(tracker_trans_sigma_mm=-0.1)
+
+    @pytest.mark.parametrize(
+        "model, field",
+        [(model, f.name) for model in (NoiseModel, JitterModel) for f in dataclasses.fields(model)
+         if f.type == "float"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected_by_name(self, model, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            model(**{field: value})
+
+    @pytest.mark.parametrize(
+        "model, field",
+        [(NoiseModel, f.name) for f in dataclasses.fields(NoiseModel)]
+        + [(JitterModel, "lateral_sigma_mm"), (JitterModel, "depth_sigma_mm"),
+           (JitterModel, "speed_sigma_mm_s")],
+    )
+    def test_negative_sigma_rejected_by_name(self, model, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+            model(**{field: -0.1})
+        model(**{field: 0.0})
 
     def test_bad_pass_range_rejected(self):
         with pytest.raises(ValueError):
