@@ -15,22 +15,22 @@ by field, left to right. A bad log raises a ParseError at the 1-based line of
 its first error in file order. One bulk np.loadtxt reads a log whose rows pass
 a vectorized test; a line scan reads any other log to the same rows, or raises.
 
-A log of at least _SPLIT_MIN_ROWS rows is parsed, and written into a file, in
-two processes where ``os.fork`` exists and a second CPU is usable. The parser
-splits the bytes after the header at a line start near their middle: each
-process decodes, splits and parses its own range, and a forked child pickles
-its rows back. The writer writes the first half of the rows into the file
-while a forked child formats the second half, which it then pwrites at the
-offset this process sends. A file that cannot be written at an offset, such
-as a pipe, is written by one process, and so is text returned as a str. The
-text and the arrays are those of the one-process path. Errors are still found
-and reported by this process: where the bulk parse fails, it decodes the whole
-log and scans its lines.
+A log of at least _SPLIT_MIN_ROWS rows is parsed and written in two
+processes where ``os.fork`` exists and a second CPU is usable, whatever it is
+read from or written to. The parser splits the bytes after the header at a
+line start near their middle: each process decodes, splits and parses its own
+range, and a forked child pickles its rows back. The writer writes the first
+half of the rows while a forked child makes the bytes of the second half and
+pickles them back, for this process to write after its own. The text and the
+arrays are those of the one-process path. Errors are still found and reported
+by this process: where the bulk parse fails, it decodes the whole log and
+scans its lines.
 """
 
 from __future__ import annotations
 
 import array
+import io
 import itertools
 import json
 import math
@@ -56,13 +56,12 @@ QUAT_NORM_WINDOW = (0.999, 1.001)
 # largest plan analysis.K: the depth profile holds K floats, so memory bounds it
 MAX_BIN_COUNT = 1_000_000
 
-# logs of at least this many data rows are parsed, and written into a file, in
-# two processes (_in_halves, _write_halves). On a 2 vCPU Xeon (Python 3.11,
-# numpy 2.4), split time over one-process time, each the median of 15
-# alternating runs in one fresh process, over 10 processes: at 20k trajectory
-# rows parse 0.70-0.82 and write 0.77-0.97, at 40k 0.64-0.90 and 0.69-0.88.
-# In 5 earlier processes on the same shared host, the split lost at 20k
-# (parse 1.21-1.32, write 1.36-1.48).
+# logs of at least this many data rows are parsed and written in two
+# processes (_in_two). On a 2 vCPU Xeon (Python 3.11, numpy 2.4), split time
+# over one-process time, each the median of 15 alternating runs in one fresh
+# process: at 20k trajectory rows parse 0.70-0.82 over 10 processes and write
+# into a file 0.73-0.94 over 5, at 40k 0.64-0.90 and 0.67-0.95. In 5 earlier
+# processes on the same shared host, the split parse lost at 20k (1.21-1.32).
 _SPLIT_MIN_ROWS = 20_000
 
 # a pose log stores each frame as its index in this tuple
@@ -180,19 +179,25 @@ def _read_csv(data: str | bytes, header: str, valid, scan, converters=None) -> n
 
 
 def _bulk_rows(data: str | bytes, header: str, converters) -> np.ndarray | None:
-    """The rows of one bulk ``np.loadtxt`` parse of the lines after the header,
-    each half of them decoded, split and parsed in its own process
-    (_in_halves); None where the first line is not ``header`` (whitespace
-    aside), a half is not valid UTF-8, or loadtxt rejects a line."""
-    is_str = isinstance(data, str)
-    start = data.find("\n" if is_str else b"\n") + 1 or len(data)
-    if data[:start].strip() != (header if is_str else header.encode("ascii")):
+    """The rows of one bulk ``np.loadtxt`` parse of the lines after the header;
+    None where the first line is not ``header`` (whitespace aside), the lines
+    are not valid UTF-8, or loadtxt rejects a line.
+
+    A log of ``str`` is read as its UTF-8 bytes. Where the lines hold at least
+    _SPLIT_MIN_ROWS line ends (_splits), they are split at the first line
+    start at or after their middle, and each half is decoded, split and
+    parsed in its own process (_in_two).
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")  # a lone surrogate fails the decode below
+    start = data.find(b"\n") + 1 or len(data)
+    if data[:start].strip() != header.encode("ascii"):
         return None
     width = header.count(",") + 1
 
     def load(lo: int, hi: int) -> np.ndarray | None:
         try:
-            part = data[lo:hi] if is_str else str(memoryview(data)[lo:hi], "utf-8")
+            part = str(memoryview(data)[lo:hi], "utf-8")
         except UnicodeDecodeError:
             return None
         if not part or part.isspace():
@@ -207,8 +212,17 @@ def _bulk_rows(data: str | bytes, header: str, converters) -> np.ndarray | None:
             return None
         return rows if rows.shape[1] == width else None
 
-    halves = _in_halves(load, data, start)
-    return None if any(rows is None for rows in halves) else np.concatenate(halves)
+    end, line_ends = len(data), 0
+    for stop in range(start, end, 1 << 20):  # a MiB at a time: a long log is not counted through
+        line_ends += data.count(b"\n", stop, stop + (1 << 20))
+        if line_ends >= _SPLIT_MIN_ROWS:
+            break
+    if _splits(line_ends):
+        mid = data.find(b"\n", (start + end) // 2) + 1 or end
+        halves = _in_two(lambda: load(start, mid), lambda: load(mid, end))
+    else:
+        halves = (load(start, end),)
+    return None if any(half is None for half in halves) else np.concatenate(halves)
 
 
 def _usable_cpus() -> int:
@@ -219,164 +233,53 @@ def _usable_cpus() -> int:
 
 
 def _splits(rows: int) -> bool:
-    """Whether a log of ``rows`` rows is converted in two processes: it holds
-    at least _SPLIT_MIN_ROWS, ``os.fork`` exists and a second CPU is usable."""
+    """Whether a log of ``rows`` rows is converted in two processes (_in_two):
+    it holds at least _SPLIT_MIN_ROWS, ``os.fork`` exists and a second CPU is
+    usable."""
     return rows >= _SPLIT_MIN_ROWS and hasattr(os, "fork") and _usable_cpus() >= 2
 
 
-def _fork(child) -> int | None:
-    """The pid of a forked child that runs ``child()`` and exits, 0 where it
-    returned and 1 where it raised; None where no process could be forked.
-    ``child`` must call no BLAS, since a child forked beside BLAS threads may
-    find their locks held."""
+def _in_two(first, second) -> tuple:
+    """``(first(), second())``, computed side by side: a forked child pickles
+    ``second()`` into a pipe while this process computes ``first()``.
+
+    Where no process can be forked, or the child sends no whole result, this
+    process computes ``second()`` too, so the results and exceptions are
+    those of calling both here. The child leaves by ``os._exit``, so it
+    flushes none of the buffered files it shares with this process.
+    ``second`` must call no BLAS, since a child forked beside BLAS threads
+    may find their locks held.
+    """
+    read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # out of processes or memory
-        return None
+        os.close(read_end)
+        os.close(write_end)
+        return first(), second()
     if pid == 0:
         status = 1
         try:
-            child()
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(second(), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
-    return pid
-
-
-def _in_halves(fn, data: str | bytes, start: int) -> tuple:
-    """``fn(lo, hi)`` of the lines of ``data`` from ``start`` to its end:
-    ``(fn(start, mid), fn(mid, end))``, mid the first line start at or after
-    the middle, or ``(fn(start, end),)``.
-
-    The lines are split where they hold at least _SPLIT_MIN_ROWS line ends
-    (_splits): a forked child computes ``fn(mid, end)`` and pickles it into a
-    pipe while this process computes ``fn(start, mid)``. Where the child
-    fails, this process computes its half too, so the results and exceptions
-    are those of the inline path.
-    """
-    lf = "\n" if isinstance(data, str) else b"\n"
-    end, rows = len(data), 0
-    for stop in range(start, end, 1 << 20):  # a MiB at a time: a long log is not counted through
-        rows += data.count(lf, stop, stop + (1 << 20))
-        if rows >= _SPLIT_MIN_ROWS:
-            break
-    if not _splits(rows):
-        return (fn(start, end),)
-    mid = data.find(lf, (start + end) // 2) + 1 or end
-    read_end, write_end = os.pipe()
-
-    def child():
-        os.close(read_end)
-        with open(write_end, "wb") as pipe:
-            pickle.dump(fn(mid, end), pipe, pickle.HIGHEST_PROTOCOL)
-
-    pid = _fork(child)
-    if pid is None:
-        os.close(read_end)
-        os.close(write_end)
-        return (fn(start, end),)
     os.close(write_end)
-    second = ()
+    sent = ()
     try:
-        # closing the read end, also when fn raises, lets a child blocked on a
-        # full pipe fail its write and exit before the wait
+        # closing the read end, also when first() raises, lets a child blocked
+        # on a full pipe fail its write and exit before the wait
         with open(read_end, "rb") as pipe:
-            first = fn(start, mid)
+            result = first()
             try:
-                second = (pickle.load(pipe),)
+                sent = (pickle.load(pipe),)
             except (EOFError, pickle.UnpicklingError):  # the child sent no whole result
                 pass
     finally:
         _, status = os.waitpid(pid, 0)
-    if status != 0 or not second:
-        second = (fn(mid, end),)
-    return first, second[0]
-
-
-def _write_halves(file, blocks, n: int) -> None:
-    """Write ``blocks(0, n)``, the byte blocks of rows 0 to n, into a binary
-    file at its position.
-
-    Where the log splits (_splits) and the file is one that pwrite can write
-    at an offset (_pwritable), a forked child formats rows n // 2 to n while
-    this process writes the first half. This process then sends the child
-    the offset of its half, and the child pwrites the half there and sends
-    back the offset of its end. Where the child fails, this process writes
-    that half itself, over any part the child wrote.
-    """
-    h = n // 2
-    fd = _pwritable(file) if _splits(n) else None
-    if fd is None:
-        file.writelines(blocks(0, n))
-        return
-    offsets_r, offsets_w = os.pipe()
-    ends_r, ends_w = os.pipe()
-
-    def child():
-        os.close(offsets_w)
-        os.close(ends_r)
-        parts = list(blocks(h, n))
-        offset = os.read(offsets_r, 8)
-        if len(offset) != 8:
-            raise EOFError("no offset: the parent failed")
-        offset = int.from_bytes(offset, "little")
-        for part in parts:
-            offset = _pwrite(fd, part, offset)
-        os.write(ends_w, offset.to_bytes(8, "little"))
-
-    pid = _fork(child)
-    if pid is None:
-        for pipe_end in (offsets_r, offsets_w, ends_r, ends_w):
-            os.close(pipe_end)
-        file.writelines(blocks(0, n))
-        return
-    os.close(offsets_r)
-    os.close(ends_w)
-    try:
-        # closing the offset pipe, also when this process fails, ends a child
-        # that waits for its offset
-        try:
-            file.writelines(blocks(0, h))
-            offset = file.tell()
-            try:
-                os.write(offsets_w, offset.to_bytes(8, "little"))
-            except BrokenPipeError:  # the child has exited
-                pass
-        finally:
-            os.close(offsets_w)
-        end = os.read(ends_r, 8)
-    finally:
-        os.close(ends_r)
-        _, status = os.waitpid(pid, 0)
-    if status == 0 and len(end) == 8:
-        file.seek(int.from_bytes(end, "little"))
-    else:
-        file.seek(offset)
-        file.writelines(blocks(h, n))
-
-
-def _pwritable(file) -> int | None:
-    """The descriptor of a file that pwrite can write at an offset: a
-    seekable one not opened to append (pwrite appends there). None for any
-    other file, such as a pipe or one with no descriptor."""
-    import fcntl  # wherever os.fork exists
-
-    try:
-        fd = file.fileno()
-    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
-        return None
-    if not file.seekable() or fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
-        return None
-    return fd
-
-
-def _pwrite(fd: int, data, offset: int) -> int:
-    """Write all of ``data`` at ``offset``; the offset after it."""
-    view = memoryview(data)
-    while view:
-        written = os.pwrite(fd, view, offset)
-        view, offset = view[written:], offset + written
-    return offset
+    return result, sent[0] if status == 0 and sent else second()
 
 
 def _data_fields(lines: list[str], width: int):
@@ -513,9 +416,11 @@ def _write_csv(header: str, columns, file=None) -> str | None:
     A row's fields side by side make one fixed-width byte row, whose last
     byte becomes the LF and whose NUL bytes one translate deletes.
 
-    With no ``file`` the text is returned, made in this process. Otherwise
-    the bytes are written into the binary file ``file`` as they are made, a
-    long log's halves side by side (_write_halves).
+    The bytes are written into the binary file ``file`` at its position, or,
+    with no ``file``, returned as text. Where the log splits (_splits), this
+    process writes the first half of the rows while a forked child makes the
+    bytes of the second half and sends them back (_in_two); else this process
+    writes each block as it is made.
     """
     floats = [col for col in columns if col.ndim == 1]
     width = sum(_FIELD_BYTES if col.ndim == 1 else col.shape[1] for col in columns)
@@ -534,11 +439,15 @@ def _write_csv(header: str, columns, file=None) -> str | None:
             yield buffer.translate(None, b"\0")
 
     n = len(columns[0])
-    if file is None:
-        return "".join([header, "\n", *(block.decode("ascii") for block in blocks(0, n))])
-    file.write(f"{header}\n".encode("ascii"))
-    _write_halves(file, blocks, n)
-    return None
+    out = io.BytesIO() if file is None else file
+    out.write(f"{header}\n".encode("ascii"))
+    if _splits(n):
+        h = n // 2
+        _, rest = _in_two(lambda: out.writelines(blocks(0, h)), lambda: b"".join(blocks(h, n)))
+        out.write(rest)
+    else:
+        out.writelines(blocks(0, n))
+    return str(out.getbuffer(), "ascii") if file is None else None
 
 
 # The float writer. Each float64 becomes the text repr gives it: the

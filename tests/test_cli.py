@@ -58,8 +58,7 @@ class TestSimulate:
         ids=["muso", "pivot"],
     )
     def test_stdout_gets_the_text_written_to_output(self, tmp_path, plan_path, capsys, argv):
-        # the file is long enough to be written in two processes, stdout is
-        # written in one
+        # the log is long enough to be written in two processes to either
         out = tmp_path / "log.csv"
         argv = ["simulate", *argv, "--plan", str(plan_path), "--seed", "1"]
         assert main([*argv, "--output", str(out)]) == 0

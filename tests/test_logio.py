@@ -19,7 +19,7 @@ from cutcal import logio
 from cutcal.logio import (
     _FIELD_BLOCK,
     _SPLIT_MIN_ROWS,
-    _in_halves,
+    _in_two,
     _parse_float,
     MAX_BIN_COUNT,
     POSE_LOG_HEADER,
@@ -881,14 +881,34 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def through_pipe(write) -> bytes:
+    """The bytes ``write(pipe)`` sends through a pipe, drained as they come."""
+    read_end, write_end = os.pipe()
+    received = []
+
+    def drain():
+        with open(read_end, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        with open(write_end, "wb") as pipe:
+            write(pipe)
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    return received[0]
+
+
 SPLIT_SIZES = pytest.mark.parametrize("n", [_SPLIT_MIN_ROWS - 1, _SPLIT_MIN_ROWS, _SPLIT_MIN_ROWS + 1])
 BOTH_LOGS = pytest.mark.parametrize("kind", ["trajectory", "pose"])
 
 
 class TestSplitConversion:
-    """Logs of at least _SPLIT_MIN_ROWS rows are parsed, and written into a
-    file, half in a forked child; the results must be those of the
-    one-process path."""
+    """Logs of at least _SPLIT_MIN_ROWS rows are parsed and written half in
+    a forked child, whatever they are written to; the results must be those
+    of the one-process path."""
 
     @pytest.fixture(autouse=True)
     def forks(self, monkeypatch):
@@ -924,23 +944,23 @@ class TestSplitConversion:
     def test_trajectory_text_and_rows_equal_the_inline_path(self, rng, monkeypatch, forks, n):
         rec = random_recording(rng, n)
         text = serialize_trajectory_log(rec)
-        assert not forks  # text is made in this process
+        assert len(forks) == (n >= _SPLIT_MIN_ROWS)
         assert text == row_by_row_trajectory_log(rec)
         for data in (text, text.encode()):
             parsed = parse_trajectory_log(data)
             self.assert_recordings_equal(parsed, self.inline(monkeypatch, parse_trajectory_log, data))
             self.assert_recordings_equal(parsed, rec)
-        assert len(forks) == (2 if n >= _SPLIT_MIN_ROWS else 0)
+        assert len(forks) == (3 if n >= _SPLIT_MIN_ROWS else 0)
 
     def test_pose_log_text_and_rows_equal_the_inline_path(self, rng, monkeypatch, forks):
         log = random_pose_log(rng, _SPLIT_MIN_ROWS + 1)
         text = serialize_pose_log(log)
-        assert not forks
+        assert len(forks) == 1
         assert text == row_by_row_pose_log(rows_of_log(log))
         for data in (text, text.encode()):
             parsed = parse_pose_log(data)
             assert_pose_logs_equal(parsed, self.inline(monkeypatch, parse_pose_log, data))
-        assert len(forks) == 2
+        assert len(forks) == 3
 
     def test_one_usable_cpu_forks_nothing(self, rng, monkeypatch, forks, tmp_path):
         if not hasattr(os, "sched_setaffinity"):
@@ -976,80 +996,63 @@ class TestSplitConversion:
             self.assert_recordings_equal(parsed, rec)
         assert forks
 
+    @pytest.mark.parametrize("mode", ["wb", "ab"])
     @SPLIT_SIZES
     @BOTH_LOGS
-    def test_a_file_gets_the_bytes_of_the_text_at_its_position(self, rng, forks, tmp_path, kind, n):
+    def test_a_file_gets_the_bytes_of_the_text_at_its_position(
+        self, rng, monkeypatch, forks, tmp_path, kind, n, mode
+    ):
         serialize, log = split_log(kind, rng, n)
-        text = serialize(log).encode()
+        text = self.inline(monkeypatch, serialize, log).encode()
         path = tmp_path / "log.csv"
-        with open(path, "wb") as file:
-            file.write(b"before\n")
+        path.write_bytes(b"before\n" if mode == "ab" else b"")
+        with open(path, mode) as file:
+            if mode == "wb":
+                # still buffered at the fork: only this process may flush it
+                file.write(b"before\n")
             assert serialize(log, file) is None
             assert file.tell() == 7 + len(text)
             file.write(b"after\n")
         assert path.read_bytes() == b"before\n" + text + b"after\n"
-        assert len(forks) == (1 if n >= _SPLIT_MIN_ROWS else 0)
+        assert len(forks) == (n >= _SPLIT_MIN_ROWS)
 
     @SPLIT_SIZES
     @BOTH_LOGS
-    def test_a_pipe_gets_the_bytes_of_the_text_from_one_process(self, rng, forks, kind, n):
+    def test_a_pipe_gets_the_bytes_of_the_text(self, rng, monkeypatch, forks, kind, n):
         serialize, log = split_log(kind, rng, n)
-        read_end, write_end = os.pipe()
-        received = []
-
-        def drain():
-            with open(read_end, "rb") as pipe:
-                received.append(pipe.read())
-
-        reader = threading.Thread(target=drain)
-        reader.start()
-        try:
-            with open(write_end, "wb") as pipe:
-                serialize(log, pipe)
-        finally:
-            reader.join(timeout=60)
-        assert not reader.is_alive()
-        assert received == [serialize(log).encode()]
-        assert not forks
-
-    @BOTH_LOGS
-    def test_a_file_opened_to_append_is_written_in_one_process(self, rng, forks, tmp_path, kind):
-        serialize, log = split_log(kind, rng, _SPLIT_MIN_ROWS)
-        path = tmp_path / "log.csv"
-        path.write_bytes(b"before\n")
-        with open(path, "ab") as file:
-            serialize(log, file)
-        assert path.read_bytes() == b"before\n" + serialize(log).encode()
-        assert not forks
+        text = self.inline(monkeypatch, serialize, log).encode()
+        assert through_pipe(lambda pipe: serialize(log, pipe)) == text
+        assert len(forks) == (n >= _SPLIT_MIN_ROWS)
 
     @pytest.mark.parametrize("how", ["raise", "exit", "kill"])
+    @pytest.mark.parametrize("to", ["file", "pipe"])
     @BOTH_LOGS
-    def test_a_half_the_child_fails_to_write_is_written_by_this_process(
-        self, rng, monkeypatch, forks, tmp_path, kind, how
+    def test_a_half_the_child_fails_to_make_is_made_by_this_process(
+        self, rng, monkeypatch, forks, tmp_path, kind, to, how
     ):
         serialize, log = split_log(kind, rng, _SPLIT_MIN_ROWS + 1)
-        parent, pwrite, written = os.getpid(), logio._pwrite, []
+        text = self.inline(monkeypatch, serialize, log).encode()
+        parent, field_words = os.getpid(), logio._field_words
 
-        def failing_pwrite(fd, data, offset):
-            # the child writes its first block, then wrong bytes over half the next
-            if os.getpid() != parent and written:
-                pwrite(fd, b"#" * (len(data) // 2), offset)
+        def failing_field_words(bits):
+            if os.getpid() != parent:
                 if how == "raise":
                     raise OSError("child only")
                 if how == "exit":
                     os._exit(7)
                 os.kill(os.getpid(), signal.SIGKILL)
-            written.append(offset)
-            return pwrite(fd, data, offset)
+            return field_words(bits)
 
-        monkeypatch.setattr(logio, "_pwrite", failing_pwrite)
-        path = tmp_path / "log.csv"
-        with open(path, "wb") as file:
-            serialize(log, file)
-            end = file.tell()
-        assert path.read_bytes() == serialize(log).encode()
-        assert end == path.stat().st_size
-        assert len(forks) == 1 and not written  # this process writes through the file
+        monkeypatch.setattr(logio, "_field_words", failing_field_words)
+        if to == "pipe":
+            assert through_pipe(lambda pipe: serialize(log, pipe)) == text
+        else:
+            path = tmp_path / "log.csv"
+            with open(path, "wb") as file:
+                serialize(log, file)
+                assert file.tell() == len(text)
+            assert path.read_bytes() == text
+        assert len(forks) == 1
 
     def test_an_error_in_this_processs_half_ends_the_writing_child(
         self, rng, monkeypatch, forks, tmp_path
@@ -1092,6 +1095,7 @@ class TestSplitConversion:
             text = text[:mid] + " " * 1000 + "\n" + text[mid:]
             assert text[raw_midpoint(text)] == " "
         data = text.encode() if encode else text
+        forks.clear()  # the writer's
         scans, scan = [], logio._scan_trajectory_lines
         monkeypatch.setattr(logio, "_scan_trajectory_lines", lambda lines: scans.append(1) or scan(lines))
         parsed = parse_trajectory_log(data)
@@ -1124,6 +1128,22 @@ class TestSplitConversion:
             parse_trajectory_log(data)
         with pytest.raises(ParseError, match="expected header"):
             parse_trajectory_log(data[:-2])
+
+    @pytest.mark.parametrize("n", [3, _SPLIT_MIN_ROWS + 1])
+    @BOTH_LOGS
+    def test_a_lone_surrogate_in_a_str_log_is_an_error_at_its_line(self, rng, kind, n):
+        serialize, log = split_log(kind, rng, n)
+        lines = serialize(log).split("\n")
+        k = len(lines) - 2  # the last row: in the child's half of a long log
+        lines[k] = lines[k].replace(",", ",\ud800", 1)  # at the start of the second field
+        parse, error, fragment = (
+            (parse_trajectory_log, ParseError, "bad x")
+            if kind == "trajectory"
+            else (parse_pose_log, FrameError, "unknown frame label")
+        )
+        with pytest.raises(error, match=fragment) as exc:
+            parse("\n".join(lines))
+        assert exc.value.line == k + 1
 
     @pytest.mark.parametrize(
         "row, edit, error, fragment",
@@ -1160,6 +1180,7 @@ class TestSplitConversion:
         self, rng, forks, loadtxt_calls
     ):
         text = serialize_trajectory_log(random_recording(rng, _SPLIT_MIN_ROWS)) + "x,0,0,0,1\n"
+        forks.clear()  # the writer's
         with pytest.raises(ParseError, match="bad timestamp") as exc:
             parse_trajectory_log(text)
         assert exc.value.line == _SPLIT_MIN_ROWS + 2
@@ -1170,49 +1191,45 @@ class TestSplitConversion:
 
     def test_a_half_that_fails_in_the_child_is_computed_again(self, forks):
         parent = os.getpid()
-        lines = "\n" * (_SPLIT_MIN_ROWS + 1)
 
         def fail_in_child(how):
-            def fn(lo, hi):
+            def second():
                 if os.getpid() != parent:
                     if how == "raise":
                         raise RuntimeError("child only")
                     if how == "exit":
                         os._exit(7)
                     os.kill(os.getpid(), signal.SIGKILL)
-                return list(range(lo, hi))
-            return fn
+                return "second"
+            return second
 
         for how in ("raise", "exit", "kill"):
-            first, second = _in_halves(fail_in_child(how), lines, 0)
-            assert first + second == list(range(len(lines))), how
+            assert _in_two(lambda: "first", fail_in_child(how)) == ("first", "second"), how
         assert len(forks) == 3
 
-    def test_an_error_in_the_childs_half_is_raised_as_inline(self, monkeypatch, forks):
-        lines = "\n" * (_SPLIT_MIN_ROWS + 1)
+    def test_where_no_process_can_be_forked_this_process_computes_both(self, monkeypatch):
+        def no_fork():
+            raise OSError("out of processes")
 
-        def fn(lo, hi):
-            if hi == len(lines):
-                raise ValueError("bad last row")
-            return lo
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _in_two(lambda: "first", lambda: "second") == ("first", "second")
+
+    def test_an_error_in_the_childs_half_is_raised_as_inline(self, forks):
+        def second():
+            raise ValueError("bad last row")
 
         with pytest.raises(ValueError, match="bad last row"):
-            self.inline(monkeypatch, _in_halves, fn, lines, 0)
-        assert not forks
-        with pytest.raises(ValueError, match="bad last row"):
-            _in_halves(fn, lines, 0)
-        assert forks
+            _in_two(lambda: 0, second)
+        assert len(forks) == 1
 
     def test_an_error_in_the_parents_half_propagates_past_a_full_pipe(self, forks):
         # the child's half is far over a 64 KiB pipe buffer: the child blocks
         # on its write until the parent closes the read end
-        def fn(lo, hi):
-            if lo == 0:
-                raise KeyError("parent half")
-            return "x" * (1 << 20)
+        def first():
+            raise KeyError("parent half")
 
         with time_limit(20), pytest.raises(KeyError, match="parent half"):
-            _in_halves(fn, "\n" * _SPLIT_MIN_ROWS, 0)
+            _in_two(first, lambda: "x" * (1 << 20))
         assert forks
 
 
