@@ -12,19 +12,22 @@ the writer makes one kernel pass per block of rows holding _FIELD_BLOCK floats.
 Both CSV logs are read alike. Lines end in LF, and a CR just before an LF is
 ignored; blank and whitespace-only lines are skipped. A row is checked field
 by field, left to right. A bad log raises a ParseError at the 1-based line of
-its first error in file order. One bulk np.loadtxt reads a log whose rows pass
-a vectorized test; a line scan reads any other log to the same rows, or raises.
+its first error in file order. A bulk np.loadtxt parse reads a log whose rows
+pass a vectorized test; a line scan reads any other log to the same rows, or
+raises.
 
-A log of at least _SPLIT_MIN_ROWS rows is parsed and written in two
-processes where ``os.fork`` exists and a second CPU is usable, whatever it is
-read from or written to. The parser splits the bytes after the header at a
-line start near their middle: each process decodes, splits and parses its own
-range, and a forked child pickles its rows back. The writer writes the first
-half of the rows while a forked child makes the bytes of the second half and
-pickles them back, for this process to write after its own. The text and the
-arrays are those of the one-process path. Errors are still found and reported
-by this process: where the bulk parse fails, it decodes the whole log and
-scans its lines.
+The parser holds no whole-log text or line list: it sizes one row array by
+the log's line ends, then decodes and parses line-aligned chunks of about
+_CHUNK_BYTES into it. A log of at least _SPLIT_MIN_ROWS rows is parsed and
+written in two processes where ``os.fork`` exists and a second CPU is usable,
+whatever it is read from or written to; only an int comes back from the
+forked child. The parser splits the bytes after the header at a line start
+near their middle, and each process parses its own range into its own rows
+of one shared array. The writer writes the first half of the rows while a
+forked child lays out the bytes of the second half in a shared map, for this
+process to write after its own. The text and the arrays are those of the
+one-process path. Errors are still found and reported by this process: where
+the bulk parse fails, it decodes the whole log and scans its lines.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import io
 import itertools
 import json
 import math
+import mmap
 import os
-import pickle
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -63,6 +66,10 @@ MAX_BIN_COUNT = 1_000_000
 # into a file 0.73-0.94 over 5, at 40k 0.64-0.90 and 0.67-0.95. In 5 earlier
 # processes on the same shared host, the split parse lost at 20k (1.21-1.32).
 _SPLIT_MIN_ROWS = 20_000
+
+# the parser counts and parses a log's bytes about this many at a time, so
+# that what it holds beside the bytes and the rows stays small
+_CHUNK_BYTES = 1 << 20
 
 # a pose log stores each frame as its index in this tuple
 _FRAMES = tuple(FrameId)
@@ -179,14 +186,17 @@ def _read_csv(data: str | bytes, header: str, valid, scan, converters=None) -> n
 
 
 def _bulk_rows(data: str | bytes, header: str, converters) -> np.ndarray | None:
-    """The rows of one bulk ``np.loadtxt`` parse of the lines after the header;
+    """The rows of a bulk ``np.loadtxt`` parse of the lines after the header;
     None where the first line is not ``header`` (whitespace aside), the lines
     are not valid UTF-8, or loadtxt rejects a line.
 
-    A log of ``str`` is read as its UTF-8 bytes. Where the lines hold at least
-    _SPLIT_MIN_ROWS line ends (_splits), they are split at the first line
-    start at or after their middle, and each half is decoded, split and
-    parsed in its own process (_in_two).
+    A log of ``str`` is read as its UTF-8 bytes. The rows fill one array
+    sized by the lines after the header. Where they are enough to split
+    (_splits), the bytes are split at the first line start at or after their
+    middle, the array is an anonymous shared map, and each half is parsed in
+    its own process (_in_two) into its own rows of it. Each process reads its
+    range a line-aligned chunk of about _CHUNK_BYTES at a time (an LF never
+    sits inside a UTF-8 sequence), so no whole-log text or line list is made.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")  # a lone surrogate fails the decode below
@@ -194,35 +204,61 @@ def _bulk_rows(data: str | bytes, header: str, converters) -> np.ndarray | None:
     if data[:start].strip() != header.encode("ascii"):
         return None
     width = header.count(",") + 1
-
-    def load(lo: int, hi: int) -> np.ndarray | None:
-        try:
-            part = str(memoryview(data)[lo:hi], "utf-8")
-        except UnicodeDecodeError:
-            return None
-        if not part or part.isspace():
-            return np.empty((0, width))  # loadtxt would warn that there is no data
-        lines = part.split("\n")
-        del part  # the lines hold their own copy
-        if not lines[-1]:
-            lines.pop()  # the LF that ends the last line starts no row
-        try:
-            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, converters=converters)
-        except ValueError:
-            return None
-        return rows if rows.shape[1] == width else None
-
-    end, line_ends = len(data), 0
-    for stop in range(start, end, 1 << 20):  # a MiB at a time: a long log is not counted through
-        line_ends += data.count(b"\n", stop, stop + (1 << 20))
-        if line_ends >= _SPLIT_MIN_ROWS:
-            break
-    if _splits(line_ends):
+    end = mid = len(data)
+    if end - start >= _SPLIT_MIN_ROWS:  # a range holds at most one line per byte
         mid = data.find(b"\n", (start + end) // 2) + 1 or end
-        halves = _in_two(lambda: load(start, mid), lambda: load(mid, end))
+    first_lines = _line_count(data, start, mid)
+    lines = first_lines + _line_count(data, mid, end)
+    split = _splits(lines)
+    out = np.frombuffer(mmap.mmap(-1, 8 * lines * width)) if split else np.empty(lines * width)
+    out = out.reshape(lines, width)
+
+    def load(lo: int, hi: int, row: int) -> int:
+        """Parse data[lo:hi] into ``out`` from ``row`` on; the rows, or -1."""
+        first = row
+        while lo < hi:
+            stop = data.find(b"\n", lo + _CHUNK_BYTES, hi) + 1 or hi
+            try:
+                part = str(memoryview(data)[lo:stop], "utf-8")
+            except UnicodeDecodeError:
+                return -1
+            lo = stop
+            if part.isspace():
+                continue  # loadtxt would warn that there is no data
+            chunk = part.split("\n")
+            del part  # the lines hold their own copy
+            if not chunk[-1]:
+                chunk.pop()  # the LF that ends the last line starts no row
+            try:
+                rows = np.loadtxt(chunk, delimiter=",", ndmin=2, comments=None, converters=converters)
+            except ValueError:
+                return -1
+            if rows.shape[1] != width:
+                return -1
+            out[row : row + len(rows)] = rows
+            row += len(rows)
+        return row - first
+
+    if split:
+        counts = _in_two(lambda: load(start, mid, 0), lambda: load(mid, end, first_lines))
     else:
-        halves = (load(start, end),)
-    return None if any(half is None for half in halves) else np.concatenate(halves)
+        counts = (load(start, end, 0),)
+    if min(counts) < 0:
+        return None
+    if len(counts) == 2 and counts[0] < first_lines:
+        # blank lines in the first half left a gap before the second
+        out[counts[0] : sum(counts)] = out[first_lines : first_lines + counts[1]]
+    return out[: sum(counts)]
+
+
+def _line_count(data: bytes, lo: int, hi: int) -> int:
+    """The lines of data[lo:hi]: its LFs, counted _CHUNK_BYTES at a time, and
+    one more where it holds bytes after its last LF."""
+    ends = 0
+    for at in range(lo, hi, _CHUNK_BYTES):
+        block = np.frombuffer(data, np.uint8, min(_CHUNK_BYTES, hi - at), at)
+        ends += int(np.count_nonzero(block == ord("\n")))
+    return ends + (lo < hi and data[hi - 1] != ord("\n"))
 
 
 def _usable_cpus() -> int:
@@ -240,46 +276,36 @@ def _splits(rows: int) -> bool:
 
 
 def _in_two(first, second) -> tuple:
-    """``(first(), second())``, computed side by side: a forked child pickles
-    ``second()`` into a pipe while this process computes ``first()``.
+    """``(first(), second())``, computed side by side: a forked child computes
+    ``second()`` while this process computes ``first()``.
 
-    Where no process can be forked, or the child sends no whole result, this
-    process computes ``second()`` too, so the results and exceptions are
-    those of calling both here. The child leaves by ``os._exit``, so it
-    flushes none of the buffered files it shares with this process.
-    ``second`` must call no BLAS, since a child forked beside BLAS threads
-    may find their locks held.
+    ``second`` returns an int, which the child leaves in a shared word: it
+    makes anything larger where this process can read it, such as the shared
+    map a caller made before the call, and returns its size. Where no
+    process can be forked, or the child does not exit cleanly, this process
+    computes ``second()`` again into the same place, so the results and
+    exceptions are those of calling both here. The child leaves by
+    ``os._exit``, so it flushes none of the buffered files it shares with
+    this process. ``second`` must call no BLAS, since a child forked beside
+    BLAS threads may find their locks held.
     """
-    read_end, write_end = os.pipe()
+    sent = mmap.mmap(-1, 8)
     try:
         pid = os.fork()
     except OSError:  # out of processes or memory
-        os.close(read_end)
-        os.close(write_end)
         return first(), second()
     if pid == 0:
         status = 1
         try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(second(), pipe, pickle.HIGHEST_PROTOCOL)
+            sent[:] = second().to_bytes(8, sys.byteorder, signed=True)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_end)
-    sent = ()
     try:
-        # closing the read end, also when first() raises, lets a child blocked
-        # on a full pipe fail its write and exit before the wait
-        with open(read_end, "rb") as pipe:
-            result = first()
-            try:
-                sent = (pickle.load(pipe),)
-            except (EOFError, pickle.UnpicklingError):  # the child sent no whole result
-                pass
+        result = first()
     finally:
         _, status = os.waitpid(pid, 0)
-    return result, sent[0] if status == 0 and sent else second()
+    return result, int.from_bytes(sent, sys.byteorder, signed=True) if status == 0 else second()
 
 
 def _data_fields(lines: list[str], width: int):
@@ -418,9 +444,10 @@ def _write_csv(header: str, columns, file=None) -> str | None:
 
     The bytes are written into the binary file ``file`` at its position, or,
     with no ``file``, returned as text. Where the log splits (_splits), this
-    process writes the first half of the rows while a forked child makes the
-    bytes of the second half and sends them back (_in_two); else this process
-    writes each block as it is made.
+    process writes the first half of the rows while a forked child lays out
+    the bytes of the second half in an anonymous shared map and returns their
+    length (_in_two); this process then writes them after its own. Else this
+    process writes each block as it is made.
     """
     floats = [col for col in columns if col.ndim == 1]
     width = sum(_FIELD_BYTES if col.ndim == 1 else col.shape[1] for col in columns)
@@ -443,8 +470,17 @@ def _write_csv(header: str, columns, file=None) -> str | None:
     out.write(f"{header}\n".encode("ascii"))
     if _splits(n):
         h = n // 2
-        _, rest = _in_two(lambda: out.writelines(blocks(0, h)), lambda: b"".join(blocks(h, n)))
-        out.write(rest)
+        shared = mmap.mmap(-1, (n - h) * width)
+
+        def second() -> int:
+            used = 0
+            for block in blocks(h, n):
+                shared[used : used + len(block)] = block
+                used += len(block)
+            return used
+
+        _, used = _in_two(lambda: out.writelines(blocks(0, h)), second)
+        out.write(memoryview(shared)[:used])
     else:
         out.writelines(blocks(0, n))
     return str(out.getbuffer(), "ascii") if file is None else None

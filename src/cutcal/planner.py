@@ -195,32 +195,26 @@ def sample_sequence(seq: CutSequence, rate_hz: float) -> TrajectoryRecording:
         raise CutcalError(
             f"sampling at {rate_hz:g} Hz takes {count:.3g} samples, over {MAX_SAMPLE_COUNT}"
         )
+    moves = [(i, d, max(2, round(d * rate_hz))) for i, d in enumerate(durations) if d > 0.0]
+    if not moves:
+        raise CutcalError("every move of the sequence takes zero time")
     starts = seq.starts.reshape(-1, 3)
     ends = seq.ends.reshape(-1, 3)
-    times: list[np.ndarray] = []
-    points: list[np.ndarray] = []
-    active: list[np.ndarray] = []
-    t0 = 0.0
-    first = True
+    # every move after the first shares its first sample with the move before
+    total = 1 + sum(n - 1 for _, _, n in moves)
+    times, points, active = np.empty(total), np.empty((total, 3)), np.empty(total, dtype=bool)
+    t0, row, skip = 0.0, 0, 0
     # a plan has a few dozen moves: this loop is faster and leaner than one
     # vectorized pass over every sample
-    for i, duration in enumerate(durations):
-        if duration <= 0.0:
-            continue
-        n = max(2, round(duration * rate_hz))
-        local = np.linspace(0.0, duration, n)
-        frac = (local / duration)[:, None]
-        pts = starts[i] + frac * (ends[i] - starts[i])
-        flags = np.full(n, _TOOL_ACTIVE[i % 3])
-        if not first:  # the boundary instant belongs to the previous move
-            local, pts, flags = local[1:], pts[1:], flags[1:]
-        times.append(t0 + local)
-        points.append(pts)
-        active.append(flags)
+    for i, duration, n in moves:
+        # the boundary instant belongs to the previous move
+        local = np.linspace(0.0, duration, n)[skip:]
+        rows = slice(row, row + len(local))
+        np.add(t0, local, out=times[rows])
+        local /= duration
+        np.multiply(local[:, None], ends[i] - starts[i], out=points[rows])
+        points[rows] += starts[i]
+        active[rows] = _TOOL_ACTIVE[i % 3]
         t0 += duration
-        first = False
-    if not times:
-        raise CutcalError("every move of the sequence takes zero time")
-    return TrajectoryRecording(
-        np.concatenate(times), np.vstack(points), np.concatenate(active)
-    )
+        row, skip = rows.stop, 1
+    return TrajectoryRecording(times, points, active)

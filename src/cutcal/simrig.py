@@ -341,15 +341,19 @@ def _ar1(timestamps: np.ndarray, sigmas, tau: float, rng: np.random.Generator) -
     """
     sigmas = np.asarray(sigmas, dtype=np.float64)[..., None]
     n = len(timestamps)
-    w = rng.normal(size=(*sigmas.shape[:-1], n))
-    rho = np.exp(-np.diff(timestamps) / tau)
-    a = np.concatenate(([0.0], rho))
-    x = sigmas * np.sqrt(1.0 - a**2) * w
+    x = rng.standard_normal(out=np.empty((*sigmas.shape[:-1], n)))  # rng.normal's draws
+    a = np.concatenate(([0.0], np.exp(-np.diff(timestamps) / tau)))
+    root = np.square(a)  # sqrt(1 - a**2), one array
+    np.sqrt(np.subtract(1.0, root, out=root), out=root)
+    scratch = np.multiply(sigmas, root, out=np.empty_like(x))
+    del root
+    x *= scratch
     span = 1
     while span < n:
         # compose each map with the one ``span`` samples back; x reads a before a changes
-        x[..., span:] += a[span:] * x[..., :-span]
-        a[span:] *= a[:-span]
+        product = np.multiply(a[span:], x[..., :-span], out=scratch[..., : n - span])
+        x[..., span:] += product
+        a[span:] = np.multiply(a[span:], a[:-span], out=scratch.reshape(-1)[: n - span])
         span *= 2
     x[sigmas[..., 0] == 0.0] = 0.0  # not the -0.0 that sigma * w gives where w < 0
     return np.moveaxis(x, -1, 0)
@@ -387,9 +391,10 @@ def synthesize_muso_trial(
         TREMOR_CORRELATION_TIME_S,
         rng,
     )
-    points = (
-        nominal.points
-        + tremor[:, :1] * plan.lateral_axis
-        + tremor[:, 1:] * plan.depth_axis
-    )
+    # nominal + lateral + depth, summed in that order (it sets the rounding),
+    # into one new array
+    points = tremor[:, :1] * plan.lateral_axis
+    points += nominal.points
+    for axis, component in enumerate(plan.depth_axis):
+        points[:, axis] += tremor[:, 1] * component
     return _noisy(nominal, points)

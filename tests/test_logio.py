@@ -1200,19 +1200,25 @@ class TestSplitConversion:
                     if how == "exit":
                         os._exit(7)
                     os.kill(os.getpid(), signal.SIGKILL)
-                return "second"
+                return 2
             return second
 
         for how in ("raise", "exit", "kill"):
-            assert _in_two(lambda: "first", fail_in_child(how)) == ("first", "second"), how
+            assert _in_two(lambda: "first", fail_in_child(how)) == ("first", 2), how
         assert len(forks) == 3
+
+    def test_the_childs_int_is_sent_back(self, forks):
+        for value in (0, -1, 2**63 - 1, -(2**63)):
+            assert _in_two(lambda: os.getpid(), lambda: value) == (os.getpid(), value)
+        parent, child = _in_two(lambda: os.getpid(), lambda: os.getpid())
+        assert parent == os.getpid() and child == forks[-1]
 
     def test_where_no_process_can_be_forked_this_process_computes_both(self, monkeypatch):
         def no_fork():
             raise OSError("out of processes")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert _in_two(lambda: "first", lambda: "second") == ("first", "second")
+        assert _in_two(lambda: "first", lambda: 2) == ("first", 2)
 
     def test_an_error_in_the_childs_half_is_raised_as_inline(self, forks):
         def second():
@@ -1223,14 +1229,215 @@ class TestSplitConversion:
         assert len(forks) == 1
 
     def test_an_error_in_the_parents_half_propagates_past_a_full_pipe(self, forks):
-        # the child's half is far over a 64 KiB pipe buffer: the child blocks
-        # on its write until the parent closes the read end
+        # the child is reaped before the error leaves, whatever its half costs
         def first():
             raise KeyError("parent half")
 
         with time_limit(20), pytest.raises(KeyError, match="parent half"):
-            _in_two(first, lambda: "x" * (1 << 20))
+            _in_two(first, lambda: len("x" * (1 << 20)))
         assert forks
+
+
+def parse_outcome(parse, data):
+    """What ``parse`` makes of ``data``: each array's dtype and bytes, or the
+    error's type, line and text."""
+    try:
+        result = parse(data)
+    except CutcalError as e:
+        return type(e), getattr(e, "line", None), str(e)
+    return [(getattr(result, f.name).dtype, getattr(result, f.name).tobytes()) for f in fields(result)]
+
+
+@pytest.fixture
+def small_split(monkeypatch):
+    """Small logs split and read in small chunks: _SPLIT_MIN_ROWS 8, two
+    usable CPUs and 128-byte chunks. Yields the pids forked during a test,
+    which must all have been reaped."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(logio, "_SPLIT_MIN_ROWS", 8)
+    monkeypatch.setattr(logio, "_CHUNK_BYTES", 128)
+    monkeypatch.setattr(logio, "_usable_cpus", lambda: 2)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSmallChunks:
+    """40-row logs through the fork split and many chunks (small_split):
+    each half of the parse reads a chunk of two or three lines at a time.
+    Each outcome must be the one-process parse's, which reads the whole log
+    as one chunk."""
+
+    ROWS = 40
+
+    @pytest.fixture(autouse=True)
+    def forks(self, small_split):
+        return small_split
+
+    @staticmethod
+    def one_process(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(logio, "_usable_cpus", lambda: 1)
+            m.setattr(logio, "_CHUNK_BYTES", 1 << 20)
+            return fn(*args)
+
+    def assert_outcomes_equal(self, monkeypatch, forks, parse, data):
+        forks.clear()
+        outcome = parse_outcome(parse, data)
+        assert len(forks) == 1
+        assert outcome == self.one_process(monkeypatch, parse_outcome, parse, data)
+        assert not forks[1:]
+        return outcome
+
+    def lines(self, rng, kind="trajectory") -> list[str]:
+        serialize, log = split_log(kind, rng, self.ROWS)
+        return serialize(log).split("\n")
+
+    @BOTH_LOGS
+    def test_a_clean_log_is_read_in_several_chunks_per_half(
+        self, rng, monkeypatch, forks, loadtxt_calls, kind
+    ):
+        text = "\n".join(self.lines(rng, kind))
+        parse = parse_trajectory_log if kind == "trajectory" else parse_pose_log
+        for data in (text, text.encode()):
+            loadtxt_calls.clear()
+            outcome = self.assert_outcomes_equal(monkeypatch, forks, parse, data)
+            assert isinstance(outcome, list)
+            # this process read its half, a few lines a chunk, before the
+            # one-process parse read the whole log in one
+            assert len(loadtxt_calls) > 3 and loadtxt_calls[-1] == self.ROWS
+            assert sum(loadtxt_calls[:-1]) < self.ROWS
+
+    @pytest.mark.parametrize("blank", ["", "\r", " ", "\t  ", " " * 300], ids=repr)
+    def test_a_blank_or_whitespace_line_before_each_line(self, rng, monkeypatch, forks, blank):
+        # every line start, so a blank line falls in each half, on each side of
+        # the midpoint and at each chunk boundary; a 300-space line fills a
+        # whole chunk, which is skipped
+        lines = self.lines(rng)
+        for k in range(1, len(lines)):
+            text = "\n".join([*lines[:k], blank, *lines[k:]])
+            outcome = self.assert_outcomes_equal(monkeypatch, forks, parse_trajectory_log, text)
+            assert isinstance(outcome, list), k
+
+    def test_blank_lines_in_the_first_half_leave_no_gap(self, rng, monkeypatch, forks):
+        lines = self.lines(rng)
+        for k in (1, 2, 2, 5, 9, 9, 9):
+            lines.insert(k, "")
+        lines.insert(len(lines) - 5, "")
+        text = "\n".join(lines)
+        outcome = self.assert_outcomes_equal(monkeypatch, forks, parse_trajectory_log, text)
+        assert isinstance(outcome, list)
+
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("last_lf", [True, False], ids=["last lf", "no last lf"])
+    @BOTH_LOGS
+    def test_line_ends(self, rng, monkeypatch, forks, kind, crlf, last_lf):
+        text = "\n".join(self.lines(rng, kind))
+        text = text if last_lf else text[:-1]
+        text = text.replace("\n", "\r\n") if crlf else text
+        parse = parse_trajectory_log if kind == "trajectory" else parse_pose_log
+        for data in (text, text.encode()):
+            outcome = self.assert_outcomes_equal(monkeypatch, forks, parse, data)
+            assert isinstance(outcome, list)
+
+    def test_an_ff_byte_in_either_half(self, rng, monkeypatch, forks):
+        data = "\n".join(self.lines(rng)).encode()
+        mid = data.index(b"\n", raw_midpoint(data)) + 1
+        for at in (data.index(b"\n") + 1, mid - 3, mid, mid + 70, len(data) - 2):
+            bad = data[:at] + b"\xff" + data[at:]
+            error, line, text = self.assert_outcomes_equal(monkeypatch, forks, parse_trajectory_log, bad)
+            assert error is ParseError and "not valid UTF-8" in text and f"position {at}:" in text
+
+    @pytest.mark.parametrize("field", [0, 2, 4])
+    def test_a_bad_field_on_each_line(self, rng, monkeypatch, forks, field):
+        lines = self.lines(rng)
+        for k in range(1, len(lines) - 1):
+            edited = lines.copy()
+            fields_k = edited[k].split(",")
+            fields_k[field] = "1e"
+            edited[k] = ",".join(fields_k)
+            error, line, _ = self.assert_outcomes_equal(
+                monkeypatch, forks, parse_trajectory_log, "\n".join(edited)
+            )
+            assert error is ParseError and line == k + 1
+
+
+class TestFailedForks:
+    """A fork that is refused, or a child that fails, leaves this process to
+    compute the child's half into the same shared buffer: the text and the
+    arrays are those of the one-process path."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, small_split):
+        yield small_split
+        assert len(small_split) == 1 or not small_split and self.refused
+
+    refused = False
+
+    def fail(self, monkeypatch, how, module, name):
+        """Make ``module.name`` fail as ``how`` says in any child process;
+        "refused" makes os.fork raise."""
+        if how == "refused":
+            self.refused = True
+            def refused():
+                raise OSError("out of processes")
+
+            monkeypatch.setattr(os, "fork", refused)
+            return
+        parent, original = os.getpid(), getattr(module, name)
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                if how == "raise":
+                    raise OSError("child only")
+                if how == "exit":
+                    os._exit(7)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, failing)
+
+    @pytest.mark.parametrize("how", ["refused", "raise", "exit", "kill"])
+    @pytest.mark.parametrize("to", ["file", "str"])
+    @BOTH_LOGS
+    def test_the_writer(self, rng, monkeypatch, tmp_path, kind, to, how):
+        serialize, log = split_log(kind, rng, 40)
+        with monkeypatch.context() as m:
+            m.setattr(logio, "_usable_cpus", lambda: 1)
+            want = serialize(log)
+        self.fail(monkeypatch, how, logio, "_field_words")
+        if to == "str":
+            assert serialize(log) == want
+        else:
+            path = tmp_path / "log.csv"
+            with open(path, "wb") as file:
+                serialize(log, file)
+            assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("how", ["refused", "raise", "exit", "kill"])
+    @pytest.mark.parametrize("source", ["file", "str"])
+    @BOTH_LOGS
+    def test_the_reader(self, rng, monkeypatch, tmp_path, kind, source, how):
+        serialize, log = split_log(kind, rng, 40)
+        parse = parse_trajectory_log if kind == "trajectory" else parse_pose_log
+        with monkeypatch.context() as m:
+            m.setattr(logio, "_usable_cpus", lambda: 1)
+            text = serialize(log)
+            want = parse_outcome(parse, text)
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        self.fail(monkeypatch, how, np, "loadtxt")
+        data = text if source == "str" else path.read_bytes()
+        assert parse_outcome(parse, data) == want
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -317,6 +317,16 @@ class TestSampleSequence:
         np.testing.assert_allclose(rec.points[0], [0.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(rec.points[-1], [0.4, 0.0, 0.0], atol=1e-12)
 
+    def test_the_samples_are_held_once(self):
+        # the recording's arrays are the only whole-trial buffers: per-move
+        # lists joined at the end would hold every sample twice
+        plan = make_plan(target=8.0, speed=3.0)
+        seq = plan_sequence(plan, PassPolicy(depth_increment_mm=4.0))
+        peak = peak_traced_bytes(lambda: sample_sequence(seq, 1000.0))
+        samples = len(sample_sequence(seq, 1000.0))
+        assert samples > 50_000
+        assert peak < 1.5 * samples * (8 + 3 * 8 + 1)
+
     def test_retract_samples_are_tool_off(self):
         plan = make_plan(target=8.0, speed=3.0)
         rec = sample_sequence(plan_sequence(plan, PassPolicy(depth_increment_mm=4.0)), 10.0)
