@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 data error (machine-readable JSON on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -32,6 +33,7 @@ from .logio import (
     serialize_trajectory_log,
 )
 from .metrics import TrialLabel, build_report
+from .planner import MAX_SAMPLE_COUNT
 from .pointcal import DEFAULT_MAX_TIP_SPREAD_MM, TipCalDataset, calibrate_pivot, calibrate_tip_in_ee
 from .report import emit_report_table, parse_report, serialize_report
 from .simrig import (
@@ -54,22 +56,21 @@ def _read(path: str) -> bytes:
 
 
 def _write(output, path: str | None) -> None:
-    """Write a command's output to ``path``, or to stdout where it is None.
-
-    The output is text, or a log serializer: called with no file it returns
-    the text, and given a binary file it writes the text into it.
-    """
-    if path is None:
-        sys.stdout.write(output if isinstance(output, str) else output())
-        return
+    """Write text, or hand a log serializer the file: the binary file ``path`` or, where
+    it is None, stdout's binary layer, flushed after its text layer and left open."""
+    if path is None and not hasattr(sys.stdout, "buffer"):  # sys.stdout is None under >&-
+        raise CutcalError("cannot write stdout: no binary layer")
     try:
-        with open(path, "wb") as file:
+        if path is None:
+            sys.stdout.flush()
+        with contextlib.nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as file:
             if isinstance(output, str):
                 file.write(output.encode("utf-8"))
             else:
                 output(file)
+            file.flush()
     except OSError as e:
-        raise CutcalError(f"cannot write {path}: {e.strerror}") from e
+        raise CutcalError(f"cannot write {'stdout' if path is None else path}: {e.strerror}") from e
 
 
 def _transform_to_dict(t: RigidTransform) -> dict:
@@ -107,8 +108,7 @@ def _pose_pairs(log: PoseLog, first, second) -> tuple[RigidTransform, RigidTrans
     return log.poses(a[i]), log.poses(b[j])
 
 
-# Each command returns what main writes to --output (or stdout): text, or a
-# serializer of the log it made (see _write).
+# Each command returns what main writes: text, or a serializer that writes its log into a file.
 
 
 def _cmd_calibrate_handeye(args) -> str:
@@ -391,6 +391,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.kind in ("handeye", "pivot") and args.poses < 3:
         parser.error(f"simulate {args.kind} needs --poses >= 3")
+    if args.command == "simulate" and args.kind in ("handeye", "pivot", "tipcal"):
+        if args.poses > (most := MAX_SAMPLE_COUNT // (1 if args.kind == "pivot" else 2)):
+            parser.error(f"simulate {args.kind} needs --poses <= {most}")
     try:
         # numpy overflows to inf or nan without a warning: each command rejects
         # a non-finite result as a CutcalError before anything is written

@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -18,7 +21,7 @@ from cutcal.logio import (
     serialize_plan,
 )
 from cutcal.metrics import PlannedCut
-from cutcal.planner import PassPolicy
+from cutcal.planner import MAX_SAMPLE_COUNT, PassPolicy
 
 
 @pytest.fixture
@@ -129,14 +132,20 @@ class TestAnalyze:
         assert "line 3" in err["message"]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    def test_a_large_log_is_simulated_and_analyzed_in_bounded_memory(self, tmp_path, plan_path):
-        # simulate muso at 2 kHz (499,399 rows, a 37 MB log) and analyze it in
-        # one fresh process. Peak RSS growth over the post-import baseline, from
-        # one run on a 2 vCPU Xeon (Python 3.11, numpy 2.4): 96.8 MB when the
-        # forked half came back pickled and synthesis concatenated per-move
-        # lists, 68.0 MB with both halves filling one shared array. The peak is
-        # VmHWM: ru_maxrss would also hold this test process's peak, which a
-        # child started from it carries through exec
+    @pytest.mark.parametrize("destination", ["file", "stdout"])
+    def test_a_large_log_is_simulated_and_analyzed_in_bounded_memory(
+        self, tmp_path, plan_path, destination
+    ):
+        # simulate muso at 2 kHz (499,399 rows, a 37 MB log) into --output or
+        # through stdout, and analyze it in one fresh process. Peak RSS growth
+        # over the post-import baseline, from one run on a 2 vCPU Xeon (Python
+        # 3.11, numpy 2.4): 96.8 MB when the forked half came back pickled and
+        # synthesis concatenated per-move lists, 68.0 MB with both halves
+        # filling one shared array. Through stdout, simulate alone grew it by
+        # 134.2 MB when stdout got the log's whole text, and both commands by
+        # 67.9 MB once stdout took the file writer's path. The peak is VmHWM:
+        # ru_maxrss would also hold this test process's peak, which a child
+        # started from it carries through exec
         script = """if True:
             import sys
             from cutcal.cli import main
@@ -146,20 +155,88 @@ class TestAnalyze:
                     return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
             base = peak_kib()
-            plan, log, report = sys.argv[1:]
+            plan, log, report, destination = sys.argv[1:]
+            output = ["--output", log] if destination == "file" else []
             assert main(["simulate", "muso", "--plan", plan, "--rate", "2000", "--seed", "1",
-                         "--output", log]) == 0
+                         *output]) == 0
             assert main(["analyze", "--traj", log, "--plan", plan, "--output", report]) == 0
-            print((peak_kib() - base) / 1024)
+            print((peak_kib() - base) / 1024, file=sys.stderr)
         """
         log, report = tmp_path / "t.csv", tmp_path / "r.json"
-        run = subprocess.run(
-            [sys.executable, "-c", script, str(plan_path), str(log), str(report)],
-            capture_output=True, text=True, timeout=120, check=True,
-        )
+        with open(log if destination == "stdout" else os.devnull, "wb") as stdout:
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(plan_path), str(log), str(report), destination],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, check=True,
+            )
         assert log.read_bytes().count(b"\n") == 499_400  # the header and the rows
-        growth_mb = float(run.stdout)
+        growth_mb = float(run.stderr.splitlines()[-1])
         assert growth_mb < 80.0, f"peak RSS grew by {growth_mb:.1f} MB"
+
+
+class _FullStdout(io.BytesIO):
+    """A binary layer with no space left: every write fails."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# a JSON command, a short log and a log long enough to be written in two processes
+WRITE_COMMANDS = [
+    pytest.param("calibrate-pivot --input {d}/pivot.csv", id="json"),
+    pytest.param("simulate pivot --poses 40", id="log"),
+    pytest.param(f"simulate pivot --poses {_SPLIT_MIN_ROWS + 1}", id="split-log"),
+]
+
+
+class TestWriteFailures:
+    def diagnostic(self, capsys) -> dict:
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        return json.loads(err)
+
+    @pytest.mark.parametrize("argv", WRITE_COMMANDS)
+    def test_a_full_stdout_is_a_diagnostic(self, bad_inputs, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_FullStdout(), encoding="utf-8"))
+        assert main(argv.format(d=bad_inputs).split()) == 1
+        assert self.diagnostic(capsys) == {
+            "error": "CutcalError",
+            "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}",
+        }
+
+    # None is what Python makes of a closed stdout (>&-); a StringIO, as
+    # contextlib.redirect_stdout installs it, has no binary layer
+    @pytest.mark.parametrize("stdout", [None, io.StringIO()], ids=["closed", "text-only"])
+    def test_a_stdout_with_no_binary_layer_is_a_diagnostic(self, bad_inputs, capsys,
+                                                           monkeypatch, stdout):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["calibrate-pivot", "--input", str(bad_inputs / "pivot.csv")]) == 1
+        assert self.diagnostic(capsys) == {
+            "error": "CutcalError", "message": "cannot write stdout: no binary layer"
+        }
+
+    def test_text_already_in_stdout_comes_first(self, capsys):
+        print("before", end=" ")
+        assert main(["simulate", "pivot", "--poses", "3"]) == 0
+        assert capsys.readouterr().out.startswith("before timestamp,")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes /dev/full")
+    @pytest.mark.parametrize("argv", WRITE_COMMANDS)
+    def test_stdout_on_a_full_device_is_a_diagnostic(self, bad_inputs, argv):
+        with open("/dev/full", "wb") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "cutcal.cli", *argv.format(d=bad_inputs).split()],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert run.returncode == 1
+        assert run.stderr.count("\n") == 1 and json.loads(run.stderr) == {
+            "error": "CutcalError",
+            "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}",
+        }
+
+    def test_an_empty_output_path_is_named(self, capsys):
+        assert main(["simulate", "pivot", "--poses", "3", "--output", ""]) == 1
+        assert self.diagnostic(capsys)["message"].startswith("cannot write : ")
+
 
 class TestCalibrationPipeline:
     def test_handeye_recovers_simulated_ground_truth(self, tmp_path, capsys):
@@ -312,6 +389,19 @@ def bad_inputs(tmp_path_factory):
     (d / "plan_nan.json").write_text(json.dumps(plan))
     plan["entry_point"] = [0.0, 0.0, 0.0]
     (d / "plan.json").write_text(json.dumps(plan))
+    # one bad value each in the cut, the pass policy and the analysis options
+    policy = plan["pass_policy"]
+    for name, doc in {
+        "policy_list": {**plan, "pass_policy": [1]},
+        "analysis_int": {**plan, "analysis": 3},
+        "lateral_mode": {**plan, "analysis": {"lateral_mode": "xyz"}},
+        "entry_short": {**plan, "entry_point": [1, 2]},
+        "bidirectional_int": {**plan, "pass_policy": {**policy, "bidirectional": 1}},
+        "speed_negative": {**plan, "pass_policy": {**policy, "cutting_speed_mm_s": -1}},
+        "clearance_zero": {**plan, "pass_policy": {**policy, "retract_clearance_mm": 0}},
+        "depth_axis_long": {**plan, "depth_axis": [0, 0, -2]},
+    }.items():
+        (d / f"plan_{name}.json").write_text(json.dumps(doc))
     # in-gate lateral errors of +-1e308: their squares overflow
     (d / "traj_huge.csv").write_text(
         "timestamp,x,y,z,active\n0.0,1.0,1e308,-1.0,1\n0.1,2.0,-1e308,-1.0,1\n"
@@ -323,6 +413,13 @@ def bad_inputs(tmp_path_factory):
     assert main(["analyze", "--traj", str(d / "ruso.csv"), "--plan", str(d / "plan.json"),
                  "--label", "R1.1", "--output", str(d / "report.json")]) == 0
     report = json.loads((d / "report.json").read_text())
+    profile = {**report["profile"], "bin_count": report["profile"]["bin_count"] + 1}
+    for name, doc in {
+        "bins": {**report, "profile": profile},
+        "label": {**report, "trial_label": "X"},
+        "rmse_negative": {**report, "rmse_mm": -1.0},
+    }.items():
+        (d / f"report_{name}.json").write_text(json.dumps(doc))
     for k in (1, 2):
         (d / f"report_huge{k}.json").write_text(
             json.dumps({**report, "trial_label": f"R1.{k}", "rmse_mm": 1.7e308})
@@ -446,10 +543,38 @@ CLI_ERROR_CASES = [
                  "CutcalError", "the noise overflows a simulated sample", id="muso-jitter-overflow"),
     pytest.param("simulate muso --plan {d}/plan.json --depth-bias 1e308", 1,
                  "CutcalError", "inf samples, over 10000000", id="muso-depth-bias-overflow"),
+    *[pytest.param(f"analyze --traj {{d}}/none.csv --plan {{d}}/plan_{name}.json", 1,
+                   "ParseError", fragment, id=f"plan-{name.replace('_', '-')}")
+      for name, fragment in (
+          ("policy_list", "plan.pass_policy must be an object"),
+          ("analysis_int", "plan.analysis must be an object"),
+          ("lateral_mode", "invalid analysis options"),
+          ("entry_short", "plan.entry_point must be a list of 3 numbers"),
+          ("bidirectional_int", "pass_policy.bidirectional must be a boolean"),
+          ("speed_negative", "cutting speed must be positive"),
+          ("clearance_zero", "retract clearance must be positive"),
+          ("depth_axis_long", "depth_axis must be a unit vector"),
+      )],
+    pytest.param("calibrate-handeye --input {d}/pivot.csv", 1,
+                 "ParseError", "no timestamp-paired (S,EE) and (OT,Tool) rows",
+                 id="handeye-of-pivot-log"),
+    pytest.param("report --input {d}/report_bins.json", 1,
+                 "ParseError", "depths length must equal bin_count", id="report-bin-count"),
+    pytest.param("report --input {d}/report_label.json", 1,
+                 "ParseError", "bad trial label", id="report-label"),
+    pytest.param("report --input {d}/report_rmse_negative.json", 1,
+                 "ParseError", "rmse_mm must be non-negative", id="report-rmse-negative"),
     pytest.param("simulate handeye --poses 2", 2, None, "needs --poses >= 3", id="handeye-poses"),
     pytest.param("simulate pivot --poses 2", 2, None, "needs --poses >= 3", id="pivot-poses"),
     pytest.param("simulate tipcal --poses 0", 2, None, "--poses: must be a positive integer",
                  id="tipcal-poses"),
+    # the first count whose log (2 rows a pose, 1 for pivot) exceeds the sample cap
+    pytest.param(f"simulate handeye --poses {MAX_SAMPLE_COUNT // 2 + 1}", 2, None,
+                 f"needs --poses <= {MAX_SAMPLE_COUNT // 2}", id="handeye-poses-over-cap"),
+    pytest.param(f"simulate pivot --poses {MAX_SAMPLE_COUNT + 1}", 2, None,
+                 f"needs --poses <= {MAX_SAMPLE_COUNT}", id="pivot-poses-over-cap"),
+    pytest.param(f"simulate tipcal --poses {MAX_SAMPLE_COUNT // 2 + 1}", 2, None,
+                 f"needs --poses <= {MAX_SAMPLE_COUNT // 2}", id="tipcal-poses-over-cap"),
     pytest.param("simulate ruso --rate 0", 2, None, "--rate: must be a positive", id="rate-0"),
     pytest.param("simulate ruso --rate nan", 2, None, "--rate: must be a positive", id="rate-nan"),
     pytest.param("simulate ruso --rate inf", 2, None, "--rate: must be a positive", id="rate-inf"),

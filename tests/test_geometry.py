@@ -231,6 +231,21 @@ class TestRotationHelpers:
         with pytest.raises(ValueError):
             rotation_about_axis(np.vstack([axes, np.zeros(3)]), np.append(angles, 1.0))
 
+    @pytest.mark.parametrize("u", [[1.0, 0.0, 0.0], [0.3, -0.4, 1.2]])
+    def test_a_parallel_direction_gives_the_identity(self, u):
+        assert (rotation_between_vectors(u, 2 * np.array(u)) == np.eye(3)).all()
+
+    @pytest.mark.parametrize(
+        "u",
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], np.random.default_rng(5).normal(size=3)],
+        ids=["x", "y", "random"],
+    )
+    def test_the_opposite_direction_gives_a_half_turn(self, u):
+        # along x the axis comes from crossing u with y, not with x
+        u = np.asarray(u) / np.linalg.norm(u)
+        r = RigidTransform(rotation_between_vectors(u, -u), np.zeros(3)).rotation
+        np.testing.assert_allclose(r @ u, -u, rtol=0, atol=1e-15)
+
     def test_orthonormalize_is_projection(self, rng):
         r = random_rotation(rng)
         noisy = r + rng.normal(0, 1e-3, (3, 3))
