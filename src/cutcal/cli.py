@@ -11,6 +11,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,20 +58,35 @@ def _read(path: str) -> bytes:
 
 def _write(output, path: str | None) -> None:
     """Write text, or hand a log serializer the file: the binary file ``path`` or, where
-    it is None, stdout's binary layer, flushed after its text layer and left open."""
-    if path is None and not hasattr(sys.stdout, "buffer"):  # sys.stdout is None under >&-
-        raise CutcalError("cannot write stdout: no binary layer")
-    try:
-        if path is None:
+    it is None, stdout's binary layer, flushed after its text layer and left open.
+    A reader that closes its pipe ends the output, as it ends a Unix filter's."""
+    if path is None:
+        name, binary = "stdout", getattr(sys.stdout, "buffer", None)
+        if binary is None:  # sys.stdout is None under >&-
+            raise CutcalError("cannot write stdout: no binary layer")
+
+        def destination():
             sys.stdout.flush()
-        with contextlib.nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as file:
+            return contextlib.nullcontext(binary)
+    else:
+        name, destination = path, functools.partial(open, path, "wb")
+    try:
+        with destination() as file:
             if isinstance(output, str):
                 file.write(output.encode("utf-8"))
             else:
                 output(file)
             file.flush()
     except OSError as e:
-        raise CutcalError(f"cannot write {'stdout' if path is None else path}: {e.strerror}") from e
+        if path is None:
+            # the bytes a failed write leaves in stdout's buffer would fail again
+            # at the interpreter's exit: they go to devnull instead
+            with contextlib.suppress(OSError):  # no descriptor, as under pytest's capture
+                fd, devnull = binary.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            raise CutcalError(f"cannot write {name}: {e.strerror}") from e
 
 
 def _transform_to_dict(t: RigidTransform) -> dict:

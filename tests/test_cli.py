@@ -173,11 +173,15 @@ class TestAnalyze:
         assert growth_mb < 80.0, f"peak RSS grew by {growth_mb:.1f} MB"
 
 
-class _FullStdout(io.BytesIO):
-    """A binary layer with no space left: every write fails."""
+class _FailingStdout(io.BytesIO):
+    """A binary layer on which every write fails with ``code``."""
+
+    def __init__(self, code: int):
+        super().__init__()
+        self.code = code
 
     def write(self, data):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise OSError(self.code, os.strerror(self.code))
 
 
 # a JSON command, a short log and a log long enough to be written in two processes
@@ -196,12 +200,20 @@ class TestWriteFailures:
 
     @pytest.mark.parametrize("argv", WRITE_COMMANDS)
     def test_a_full_stdout_is_a_diagnostic(self, bad_inputs, capsys, monkeypatch, argv):
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_FullStdout(), encoding="utf-8"))
+        stdout = io.TextIOWrapper(_FailingStdout(errno.ENOSPC), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
         assert main(argv.format(d=bad_inputs).split()) == 1
         assert self.diagnostic(capsys) == {
             "error": "CutcalError",
             "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}",
         }
+
+    @pytest.mark.parametrize("argv", WRITE_COMMANDS)
+    def test_a_broken_pipe_ends_the_output(self, bad_inputs, capsys, monkeypatch, argv):
+        stdout = io.TextIOWrapper(_FailingStdout(errno.EPIPE), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv.format(d=bad_inputs).split()) == 0
+        assert capsys.readouterr() == ("", "")
 
     # None is what Python makes of a closed stdout (>&-); a StringIO, as
     # contextlib.redirect_stdout installs it, has no binary layer
@@ -214,24 +226,51 @@ class TestWriteFailures:
             "error": "CutcalError", "message": "cannot write stdout: no binary layer"
         }
 
-    def test_text_already_in_stdout_comes_first(self, capsys):
+    def test_text_already_in_stdout_comes_first(self, monkeypatch):
+        # not write-through, as pytest's capture is: the text layer holds the text
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
         print("before", end=" ")
         assert main(["simulate", "pivot", "--poses", "3"]) == 0
-        assert capsys.readouterr().out.startswith("before timestamp,")
+        assert stdout.buffer.getvalue().startswith(b"before timestamp,")
+
+    @staticmethod
+    def run(argv: list[str], stdout, buffering: str) -> subprocess.CompletedProcess:
+        """Run the CLI in a fresh interpreter. Buffered, a failed write leaves its
+        bytes in stdout's buffer, which the interpreter flushes again at exit."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "cutcal.cli", *argv], env=env,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes /dev/full")
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", WRITE_COMMANDS)
-    def test_stdout_on_a_full_device_is_a_diagnostic(self, bad_inputs, argv):
+    def test_stdout_on_a_full_device_is_a_diagnostic(self, bad_inputs, argv, buffering):
         with open("/dev/full", "wb") as full:
-            run = subprocess.run(
-                [sys.executable, "-m", "cutcal.cli", *argv.format(d=bad_inputs).split()],
-                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
-            )
+            run = self.run(argv.format(d=bad_inputs).split(), full, buffering)
         assert run.returncode == 1
         assert run.stderr.count("\n") == 1 and json.loads(run.stderr) == {
             "error": "CutcalError",
             "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}",
         }
+
+    # a pipe whose reader has gone: stdout, and stdout named as --output
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="names /dev/stdout")
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("output", [[], ["--output", "/dev/stdout"]], ids=["stdout", "named"])
+    @pytest.mark.parametrize("argv", WRITE_COMMANDS)
+    def test_a_pipe_its_reader_closed_ends_the_output(self, bad_inputs, argv, output, buffering):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = self.run([*argv.format(d=bad_inputs).split(), *output], write, buffering)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (0, "")
 
     def test_an_empty_output_path_is_named(self, capsys):
         assert main(["simulate", "pivot", "--poses", "3", "--output", ""]) == 1
