@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -59,7 +60,13 @@ def _read(path: str) -> bytes:
 def _write(output, path: str | None) -> None:
     """Write text, or hand a log serializer the file: the binary file ``path`` or, where
     it is None, stdout's binary layer, flushed after its text layer and left open.
-    A reader that closes its pipe ends the output, as it ends a Unix filter's."""
+    A reader that closes its pipe ends the output, as it ends a Unix filter's.
+
+    ``path`` is opened without truncation, so an existing regular file is
+    overwritten in place, then cut where the bytes written end: after the
+    flush, at the end of the new output; after a failed write, at the
+    prefix of it that reached the file, so that none of the old bytes stay.
+    Any other file, such as a pipe or a device, is never cut."""
     if path is None:
         name, binary = "stdout", getattr(sys.stdout, "buffer", None)
         if binary is None:  # sys.stdout is None under >&-
@@ -69,7 +76,21 @@ def _write(output, path: str | None) -> None:
             sys.stdout.flush()
             return contextlib.nullcontext(binary)
     else:
-        name, destination = path, functools.partial(open, path, "wb")
+        name = path
+
+        @contextlib.contextmanager
+        def destination():
+            # no O_TRUNC: on ext4, truncating an existing file on open costs
+            # several times what overwriting it does
+            flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+            with open(os.open(path, flags, 0o666), "wb") as file:
+                try:
+                    yield file
+                finally:
+                    fd = file.fileno()
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        # the descriptor's offset: bytes still in the buffer never reached the file
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     try:
         with destination() as file:
             if isinstance(output, str):

@@ -151,13 +151,8 @@ class MetricsReport:
     profile: CutProfile = field(repr=False)
 
     def __post_init__(self):
-        for name in (
-            "rmse_mm",
-            "executed_length_mm",
-            "procedure_time_s",
-            "mean_depth_mm",
-            "mean_depth_strict_mm",
-        ):
+        # the depth means are signed, as the depths are
+        for name in ("rmse_mm", "executed_length_mm", "procedure_time_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

@@ -131,6 +131,24 @@ class TestAnalyze:
         assert err["error"] == "ParseError"
         assert "line 3" in err["message"]
 
+    def test_a_trace_above_the_surface_has_a_negative_mean_depth(self, tmp_path):
+        # depths are signed: 0.5 mm above the entry point along a -z depth axis is -0.5 mm
+        plan, traj, report = tmp_path / "plan.json", tmp_path / "t.csv", tmp_path / "r.json"
+        plan.write_text(json.dumps({
+            "entry_point": [0.0, 0.0, 0.0], "direction": [1.0, 0.0, 0.0],
+            "depth_axis": [0.0, 0.0, -1.0], "length_mm": 10.0, "target_depth_mm": 4.0,
+            "cutting_speed_mm_s": 3.0, "pass_policy": {"depth_increment_mm": 4.0},
+        }))
+        traj.write_text("timestamp,x,y,z,active\n0.0,1.0,0.0,0.5,1\n1.0,9.0,0.0,0.5,1\n")
+        assert main(["analyze", "--traj", str(traj), "--plan", str(plan),
+                     "--output", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["mean_depth_mm"] == -0.5
+        assert main(["report", "--input", str(report), "--format", "json",
+                     "--output", str(tmp_path / "summary.json")]) == 0
+        (row,) = json.loads((tmp_path / "summary.json").read_text())
+        assert row["mean_depth_mm_mean"] == -0.5
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     @pytest.mark.parametrize("destination", ["file", "stdout"])
     def test_a_large_log_is_simulated_and_analyzed_in_bounded_memory(
@@ -275,6 +293,85 @@ class TestWriteFailures:
     def test_an_empty_output_path_is_named(self, capsys):
         assert main(["simulate", "pivot", "--poses", "3", "--output", ""]) == 1
         assert self.diagnostic(capsys)["message"].startswith("cannot write : ")
+
+
+# the plan of the CI console step, whose 1 kHz muso log (256,491 rows) is
+# written in two processes
+CI_PLAN = {
+    "entry_point": [120.0, -40.0, 60.0],
+    "direction": [1.0, 0.0, 0.0],
+    "depth_axis": [0.0, 0.0, -1.0],
+    "length_mm": 100.0,
+    "target_depth_mm": 8.0,
+    "cutting_speed_mm_s": 3.0,
+    "pass_policy": {"depth_increment_mm": 4.0},
+}
+SPLIT_MUSO = "simulate muso --plan {d}/ci_plan.json --rate 1000 --seed 1"
+OVERWRITE_COMMANDS = [*WRITE_COMMANDS[:2], pytest.param(SPLIT_MUSO, id="split-log")]
+OLD_BYTE = b"\xff"  # in no output, all of which is ASCII
+
+
+@pytest.fixture(scope="module")
+def fresh(bad_inputs):
+    """For a command of OVERWRITE_COMMANDS, its argv and the bytes it writes to a new file."""
+    (bad_inputs / "ci_plan.json").write_text(json.dumps(CI_PLAN))
+    written = {}
+
+    def run(command: str) -> tuple[list[str], bytes]:
+        argv = command.format(d=bad_inputs).split()
+        if command not in written:
+            path = bad_inputs / f"fresh{len(written)}"
+            assert main([*argv, "--output", str(path)]) == 0
+            written[command] = path.read_bytes()
+        return argv, written[command]
+
+    return run
+
+
+class TestOverwrite:
+    @pytest.mark.parametrize("size", ["longer", "equal", "shorter"])
+    @pytest.mark.parametrize("command", OVERWRITE_COMMANDS)
+    def test_an_existing_file_ends_as_a_new_one(self, fresh, tmp_path, command, size):
+        argv, want = fresh(command)
+        old = {"longer": 2 * len(want), "equal": len(want), "shorter": len(want) // 2}[size]
+        out = tmp_path / "out"
+        out.write_bytes(OLD_BYTE * old)
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == want
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_FSIZE")
+    def test_a_failed_overwrite_keeps_only_a_prefix_of_the_new_output(self, fresh, tmp_path):
+        # a file size limit makes every write past 100,000 bytes fail with
+        # EFBIG (SIGXFSZ, which would kill the process, is ignored)
+        script = """if True:
+            import resource, signal, sys
+            from cutcal.cli import main
+
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            sys.exit(main(sys.argv[1:]))
+        """
+        argv, want = fresh(SPLIT_MUSO)
+        out = tmp_path / "out"
+        out.write_bytes(OLD_BYTE * 2_000_000)
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--output", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr.count("\n") == 1 and json.loads(run.stderr) == {
+            "error": "CutcalError",
+            "message": f"cannot write {out}: {os.strerror(errno.EFBIG)}",
+        }
+        kept = out.read_bytes()
+        assert len(kept) <= 100_000 and want.startswith(kept)
+
+    # a device is written, never cut: ftruncate fails on it
+    @pytest.mark.parametrize("command", OVERWRITE_COMMANDS)
+    def test_the_null_device_is_an_output(self, fresh, capsys, command):
+        argv, _ = fresh(command)
+        assert main([*argv, "--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 class TestCalibrationPipeline:

@@ -100,8 +100,8 @@ NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 @st.composite
 def reports(draw) -> MetricsReport:
-    """Valid reports: any label, finite numbers (non-negative metrics) and
-    profiles with any mix of depths and NaN bins."""
+    """Valid reports: any label, finite numbers (non-negative metrics but for
+    the signed depth means) and profiles with any mix of depths and NaN bins."""
     bin_count = draw(st.integers(1, 40))
     return MetricsReport(
         trial_label=TrialLabel(
@@ -112,8 +112,8 @@ def reports(draw) -> MetricsReport:
         rmse_mm=draw(NON_NEGATIVE),
         executed_length_mm=draw(NON_NEGATIVE),
         procedure_time_s=draw(NON_NEGATIVE),
-        mean_depth_mm=draw(NON_NEGATIVE),
-        mean_depth_strict_mm=draw(NON_NEGATIVE),
+        mean_depth_mm=draw(FINITE),
+        mean_depth_strict_mm=draw(FINITE),
         profile=CutProfile(
             bin_count,
             draw(FINITE),
